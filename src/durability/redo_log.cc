@@ -1,6 +1,7 @@
 #include "durability/redo_log.h"
 
 #include <cstring>
+#include <span>
 
 #include "common/crc32.h"
 
@@ -17,12 +18,14 @@ uint32_t RecordCrc(LogRecordHeader header, const std::byte* payload,
 }
 
 std::vector<std::byte> Encode(LogRecordHeader header,
-                              const std::byte* payload) {
-  header.crc = RecordCrc(header, payload, header.payload_bytes);
+                              std::span<const std::byte> payload) {
+  header.payload_bytes = static_cast<uint32_t>(payload.size());
+  header.crc = RecordCrc(header, payload.data(), header.payload_bytes);
   std::vector<std::byte> bytes(LogRecordFootprint(header.payload_bytes));
   std::memcpy(bytes.data(), &header, sizeof(header));
-  if (header.payload_bytes > 0) {
-    std::memcpy(bytes.data() + sizeof(header), payload, header.payload_bytes);
+  if (!payload.empty()) {
+    std::memcpy(bytes.data() + sizeof(header), payload.data(),
+                payload.size());
   }
   return bytes;  // padding bytes stay zero
 }
@@ -42,8 +45,7 @@ std::vector<std::byte> EncodeDataRecord(uint64_t epoch, uint64_t table_offset,
   header.type = static_cast<uint16_t>(LogRecordType::kData);
   header.epoch = epoch;
   header.table_offset = table_offset;
-  header.payload_bytes = payload_bytes;
-  return Encode(header, payload);
+  return Encode(header, {payload, payload_bytes});
 }
 
 std::vector<std::byte> EncodeCommitRecord(uint64_t epoch) {
@@ -51,7 +53,7 @@ std::vector<std::byte> EncodeCommitRecord(uint64_t epoch) {
   header.magic = kLogMagic;
   header.type = static_cast<uint16_t>(LogRecordType::kCommit);
   header.epoch = epoch;
-  return Encode(header, nullptr);
+  return Encode(header, {});
 }
 
 LogScan ScanLog(const std::byte* data, uint64_t size) {

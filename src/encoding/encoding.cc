@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <utility>
 
 namespace pmemolap::encoding {
 namespace {
@@ -15,6 +16,42 @@ uint64_t MaskOf(int width) {
 /// Conservative per-frame value maximum: ref + largest representable code.
 int64_t FrameMax(int32_t ref, int width) {
   return static_cast<int64_t>(ref) + static_cast<int64_t>(MaskOf(width));
+}
+
+/// Smallest and largest of values[begin, end), end > begin.
+std::pair<int32_t, int32_t> FrameBounds(const int32_t* values,
+                                        uint64_t begin, uint64_t end) {
+  int32_t lo = values[begin];
+  int32_t hi = values[begin];
+  for (uint64_t i = begin + 1; i < end; ++i) {
+    lo = std::min(lo, values[i]);
+    hi = std::max(hi, values[i]);
+  }
+  return {lo, hi};
+}
+
+/// Code width in bits of a frame whose values span [lo, hi].
+int FrameWidth(int32_t lo, int32_t hi) {
+  const uint64_t range = static_cast<uint64_t>(
+      static_cast<int64_t>(hi) - static_cast<int64_t>(lo));
+  return range == 0 ? 0 : std::bit_width(range);
+}
+
+/// Word-padded 64-bit words holding `count` codes of `width` bits.
+uint64_t FrameWords(uint64_t count, int width) {
+  return (count * static_cast<uint64_t>(width) + 63) / 64;
+}
+
+/// Picks the dictionary builder by the column's value span.
+DictionaryCodes BuildDictionary(const std::vector<int32_t>& values) {
+  if (values.empty()) return DictionaryCodes();
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  const uint64_t span = static_cast<uint64_t>(static_cast<int64_t>(*hi) -
+                                              static_cast<int64_t>(*lo)) +
+                        1;
+  // The dense table is then no larger than the sorted copy it replaces.
+  return span <= values.size() ? DenseRankDictionary(values)
+                               : SortedDictionary(values);
 }
 
 }  // namespace
@@ -43,24 +80,15 @@ PackedArray PackedArray::Pack(const int32_t* values, uint64_t n) {
   for (uint64_t frame = 0; frame < frames; ++frame) {
     const uint64_t begin = frame * kFrameValues;
     const uint64_t end = std::min(n, begin + kFrameValues);
-    int32_t lo = values[begin];
-    int32_t hi = values[begin];
-    for (uint64_t i = begin + 1; i < end; ++i) {
-      lo = std::min(lo, values[i]);
-      hi = std::max(hi, values[i]);
-    }
-    const uint64_t range = static_cast<uint64_t>(
-        static_cast<int64_t>(hi) - static_cast<int64_t>(lo));
-    const int width = range == 0 ? 0 : std::bit_width(range);
+    const auto [lo, hi] = FrameBounds(values, begin, end);
+    const int width = FrameWidth(lo, hi);
     packed.refs_.push_back(lo);
     packed.widths_.push_back(static_cast<uint8_t>(width));
     packed.offsets_.push_back(static_cast<uint32_t>(packed.words_.size()));
     if (width == 0) continue;  // constant frame: directory only
     // Word-padded frame: codes packed LSB-first from a fresh 64-bit word.
-    const uint64_t frame_words =
-        ((end - begin) * static_cast<uint64_t>(width) + 63) / 64;
     const size_t base = packed.words_.size();
-    packed.words_.resize(base + frame_words, 0);
+    packed.words_.resize(base + FrameWords(end - begin, width), 0);
     for (uint64_t i = begin; i < end; ++i) {
       const uint64_t code = static_cast<uint64_t>(
           static_cast<int64_t>(values[i]) - static_cast<int64_t>(lo));
@@ -74,6 +102,20 @@ PackedArray PackedArray::Pack(const int32_t* values, uint64_t n) {
     }
   }
   return packed;
+}
+
+uint64_t PackedArray::PackedBytes(const int32_t* values, uint64_t n) {
+  const uint64_t frames = (n + kFrameValues - 1) / kFrameValues;
+  uint64_t words = 0;
+  for (uint64_t frame = 0; frame < frames; ++frame) {
+    const uint64_t begin = frame * kFrameValues;
+    const uint64_t end = std::min(n, begin + kFrameValues);
+    const auto [lo, hi] = FrameBounds(values, begin, end);
+    words += FrameWords(end - begin, FrameWidth(lo, hi));
+  }
+  // Same terms as Bytes(): words plus the ref/width/offset directory.
+  return words * sizeof(uint64_t) +
+         frames * (sizeof(int32_t) + sizeof(uint8_t) + sizeof(uint32_t));
 }
 
 uint64_t PackedArray::FrameCount(uint64_t frame) const {
@@ -172,6 +214,55 @@ uint64_t PackedArray::Bytes() const {
          offsets_.size() * sizeof(uint32_t);
 }
 
+// --- Dictionary builders ----------------------------------------------------
+
+DictionaryCodes DenseRankDictionary(const std::vector<int32_t>& values) {
+  DictionaryCodes out;
+  if (values.empty()) return out;
+  const auto [min_it, max_it] =
+      std::minmax_element(values.begin(), values.end());
+  const int64_t lo = *min_it;
+  const uint64_t span = static_cast<uint64_t>(*max_it - lo) + 1;
+  auto slot_of = [lo](int32_t value) {
+    return static_cast<uint64_t>(static_cast<int64_t>(value) - lo);
+  };
+  // rank[slot]: 1 marks a present value, then one ascending sweep turns
+  // each mark into the value's code.
+  std::vector<int32_t> rank(span, 0);
+  for (int32_t value : values) rank[slot_of(value)] = 1;
+  int32_t distinct = 0;
+  for (int32_t present : rank) distinct += present;
+  out.values.reserve(static_cast<size_t>(distinct));
+  for (uint64_t slot = 0; slot < span; ++slot) {
+    if (rank[slot] == 0) continue;
+    rank[slot] = static_cast<int32_t>(out.values.size());
+    out.values.push_back(
+        static_cast<int32_t>(lo + static_cast<int64_t>(slot)));
+  }
+  out.codes.resize(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    out.codes[i] = rank[slot_of(values[i])];
+  }
+  return out;
+}
+
+DictionaryCodes SortedDictionary(const std::vector<int32_t>& values) {
+  DictionaryCodes out;
+  {
+    std::vector<int32_t> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const auto last = std::unique(sorted.begin(), sorted.end());
+    out.values.assign(sorted.begin(), last);  // exact size, not n
+  }
+  out.codes.resize(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    out.codes[i] = static_cast<int32_t>(
+        std::lower_bound(out.values.begin(), out.values.end(), values[i]) -
+        out.values.begin());
+  }
+  return out;
+}
+
 // --- EncodedColumn ----------------------------------------------------------
 
 EncodedColumn EncodedColumn::EncodeWith(Scheme scheme,
@@ -186,37 +277,37 @@ EncodedColumn EncodedColumn::EncodeWith(Scheme scheme,
     case Scheme::kForBitPack:
       column.packed_ = PackedArray::Pack(values.data(), values.size());
       break;
-    case Scheme::kDictionary: {
-      column.dict_ = values;
-      std::sort(column.dict_.begin(), column.dict_.end());
-      column.dict_.erase(
-          std::unique(column.dict_.begin(), column.dict_.end()),
-          column.dict_.end());
-      std::vector<int32_t> codes(values.size());
-      for (size_t i = 0; i < values.size(); ++i) {
-        codes[i] = static_cast<int32_t>(
-            std::lower_bound(column.dict_.begin(), column.dict_.end(),
-                             values[i]) -
-            column.dict_.begin());
-      }
-      column.packed_ = PackedArray::Pack(codes.data(), codes.size());
-      break;
-    }
+    case Scheme::kDictionary:
+      return FromDictionary(BuildDictionary(values));
   }
+  return column;
+}
+
+EncodedColumn EncodedColumn::FromDictionary(DictionaryCodes dictionary) {
+  EncodedColumn column;
+  column.size_ = dictionary.codes.size();
+  column.scheme_ = Scheme::kDictionary;
+  column.packed_ =
+      PackedArray::Pack(dictionary.codes.data(), dictionary.codes.size());
+  column.dict_ = std::move(dictionary.values);
   return column;
 }
 
 EncodedColumn EncodedColumn::Encode(const std::vector<int32_t>& values) {
   if (values.empty()) return EncodedColumn();
-  EncodedColumn for_packed = EncodeWith(Scheme::kForBitPack, values);
-  EncodedColumn dict = EncodeWith(Scheme::kDictionary, values);
-  const uint64_t raw_bytes = values.size() * sizeof(int32_t);
+  const uint64_t n = values.size();
+  const uint64_t raw_bytes = n * sizeof(int32_t);
+  const uint64_t for_bytes = PackedArray::PackedBytes(values.data(), n);
+  DictionaryCodes dictionary = BuildDictionary(values);
+  const uint64_t dict_bytes =
+      PackedArray::PackedBytes(dictionary.codes.data(), n) +
+      dictionary.values.size() * sizeof(int32_t);
   // Ties prefer FoR (cheapest decode), then dictionary, then raw.
-  if (for_packed.EncodedBytes() <= dict.EncodedBytes() &&
-      for_packed.EncodedBytes() <= raw_bytes) {
-    return for_packed;
+  if (for_bytes <= dict_bytes && for_bytes <= raw_bytes) {
+    dictionary = DictionaryCodes();  // release the codes before packing
+    return EncodeWith(Scheme::kForBitPack, values);
   }
-  if (dict.EncodedBytes() <= raw_bytes) return dict;
+  if (dict_bytes <= raw_bytes) return FromDictionary(std::move(dictionary));
   return EncodeWith(Scheme::kRaw, values);
 }
 

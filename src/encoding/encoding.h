@@ -11,15 +11,18 @@
 //                  frame starts on a fresh word ("lane-aligned"), so block
 //                  decode is a branch-free shift/mask loop.
 //   kDictionary  — sorted-dictionary encoding for low-cardinality columns:
-//                  value -> code via binary search at load, codes packed
-//                  with the same frame machinery. The dictionary is sorted,
-//                  so code order equals value order and range predicates
-//                  map to code ranges.
+//                  value -> code (its rank among the distinct values), codes
+//                  packed with the same frame machinery. Codes come from a
+//                  dense rank table over [min, max] when that span is at
+//                  most the column length, else from a sorted search. The
+//                  dictionary is sorted, so code order equals value order
+//                  and range predicates map to code ranges.
 //   kRaw         — pass-through for incompressible columns.
 //
-// EncodedColumn::Encode picks the scheme with the smallest encoded size at
-// load time; EncodedBytes() reports that size (words + frame directory +
-// dictionary) for device-model placement and scan pricing.
+// EncodedColumn::Encode computes each scheme's exact encoded size at load
+// time (FoR from per-frame min/max alone, dictionary from its codes), then
+// packs only the smallest; EncodedBytes() reports that size (words + frame
+// directory + dictionary) for device-model placement and scan pricing.
 //
 // Predicate-on-encoded fast paths: a range predicate is evaluated against
 // each frame's conservative value bounds [ref, ref + (2^width - 1)] first —
@@ -56,6 +59,9 @@ class PackedArray {
 
   /// Packs `n` values into 32-value frames (last frame may be short).
   static PackedArray Pack(const int32_t* values, uint64_t n);
+  /// Pack(values, n).Bytes() without packing: one pass of per-frame
+  /// min/max.
+  static uint64_t PackedBytes(const int32_t* values, uint64_t n);
 
   uint64_t size() const { return size_; }
   uint64_t frames() const { return refs_.size(); }
@@ -92,13 +98,32 @@ class PackedArray {
   uint64_t FrameCount(uint64_t frame) const;
 };
 
+/// A column's dictionary: `values` holds its sorted distinct values and
+/// codes[i] is the index in `values` of the column's i-th value.
+struct DictionaryCodes {
+  std::vector<int32_t> values;
+  std::vector<int32_t> codes;
+};
+
+/// The two dictionary builders of the kDictionary scheme, public for the
+/// encoding tests. Encode and EncodeWith use DenseRankDictionary when the
+/// column's value span (max - min + 1) is at most its length, and
+/// SortedDictionary otherwise; both return the same dictionary.
+///
+/// Ranks through a table over [min, max]: no sort, no search. The
+/// transient table takes span * 4 B.
+DictionaryCodes DenseRankDictionary(const std::vector<int32_t>& values);
+/// Sorts a copy, drops duplicates and binary-searches each value.
+DictionaryCodes SortedDictionary(const std::vector<int32_t>& values);
+
 /// One encoded column: scheme picked at load time by encoded size.
 class EncodedColumn {
  public:
   EncodedColumn() = default;
 
   /// Encodes with the cheapest scheme (ties prefer FoR over dictionary
-  /// over raw — cheaper decode at equal size).
+  /// over raw — cheaper decode at equal size). Prices every scheme by its
+  /// exact encoded size first, then packs only the winner.
   static EncodedColumn Encode(const std::vector<int32_t>& values);
   /// Forces a scheme (tests and the bench's per-scheme comparisons).
   static EncodedColumn EncodeWith(Scheme scheme,
@@ -142,6 +167,8 @@ class EncodedColumn {
   std::vector<int32_t> raw_;    ///< kRaw payload
   PackedArray packed_;          ///< kForBitPack values or kDictionary codes
   std::vector<int32_t> dict_;   ///< sorted distinct values (kDictionary)
+
+  static EncodedColumn FromDictionary(DictionaryCodes dictionary);
 };
 
 }  // namespace pmemolap::encoding

@@ -707,11 +707,16 @@ const QueryService::CachedRun& QueryService::CachedExecute(
   std::string actuators;
   if (governor_) {
     const governor::GovernorDecision decision = governor_->decision();
-    actuators += "w" + std::to_string(decision.write_threads);
+    actuators += 'w';
+    actuators += std::to_string(decision.write_threads);
     for (int cap : decision.read_workers) {
-      actuators += "r" + std::to_string(cap);
+      actuators += 'r';
+      actuators += std::to_string(cap);
     }
-    for (const std::string& name : decision.staged) actuators += "s" + name;
+    for (const std::string& name : decision.staged) {
+      actuators += 's';
+      actuators += name;
+    }
   }
   if (breakers_) {
     for (bool healthy : breakers_->HealthySockets()) {

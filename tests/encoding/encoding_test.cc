@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -179,6 +181,145 @@ TEST(EncodingSelection, IncompressiblePicksRaw) {
   EncodedColumn column = EncodedColumn::Encode(values);
   EXPECT_EQ(column.scheme(), Scheme::kRaw);
   EXPECT_EQ(column.EncodedBytes(), column.RawBytes());
+}
+
+// --- selection by exact size ------------------------------------------------
+
+/// One seeded selection case: `n` values whose span (max - min + 1) is
+/// exactly `span`, starting at `base`. With `distinct` > 0 the values come
+/// from that many points of the span (low cardinality).
+struct SelectionCase {
+  uint64_t n;
+  uint64_t span;
+  int64_t base;
+  uint64_t distinct;
+};
+
+std::vector<int32_t> MakeColumn(const SelectionCase& c, Rng* rng) {
+  std::vector<int32_t> domain;
+  for (uint64_t i = 0; i < c.distinct; ++i) {
+    const int64_t offset = static_cast<int64_t>(rng->NextBelow(c.span));
+    domain.push_back(static_cast<int32_t>(c.base + offset));
+  }
+  std::vector<int32_t> values(c.n);
+  for (int32_t& v : values) {
+    const int64_t offset =
+        domain.empty() ? static_cast<int64_t>(rng->NextBelow(c.span))
+                       : domain[rng->NextBelow(domain.size())] - c.base;
+    v = static_cast<int32_t>(c.base + offset);
+  }
+  // Pin both ends, at two distinct seeded positions, so the span is exact.
+  const uint64_t lo_at = rng->NextBelow(c.n);
+  const uint64_t hi_at =
+      c.n == 1 ? lo_at : (lo_at + 1 + rng->NextBelow(c.n - 1)) % c.n;
+  values[lo_at] = static_cast<int32_t>(c.base);
+  values[hi_at] =
+      static_cast<int32_t>(c.base + static_cast<int64_t>(c.span) - 1);
+  return values;
+}
+
+/// Lengths 1, 31, 32, 33 and 1000 crossed with spans on both sides of the
+/// dense-rank cutoff (span == n uses the rank table, n + 1 sorts), low-
+/// and full-cardinality values, negative bases and the int32 extremes.
+std::vector<SelectionCase> SelectionCases() {
+  std::vector<SelectionCase> cases;
+  const uint64_t full_span = uint64_t{1} << 32;
+  for (uint64_t n : {uint64_t{1}, uint64_t{31}, uint64_t{32}, uint64_t{33},
+                     uint64_t{1000}}) {
+    for (uint64_t span : {uint64_t{1}, n / 2 + 1, n, n + 1, 16 * n,
+                          uint64_t{1} << 24, full_span}) {
+      if (n == 1 && span > 1) continue;  // one value spans exactly 1
+      for (int64_t base :
+           {int64_t{0}, int64_t{-5'000'000}, int64_t{kInt32Min},
+            int64_t{kInt32Max} - static_cast<int64_t>(span) + 1}) {
+        if (span == full_span && base != kInt32Min) continue;
+        for (uint64_t distinct : {uint64_t{0}, uint64_t{4}}) {
+          cases.push_back({n, span, base, distinct});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::string Describe(const SelectionCase& c) {
+  return "n " + std::to_string(c.n) + " span " + std::to_string(c.span) +
+         " base " + std::to_string(c.base) + " distinct " +
+         std::to_string(c.distinct);
+}
+
+/// Builds every scheme in full and keeps the smallest; ties go to the
+/// earlier scheme (FoR, then dictionary, then raw).
+EncodedColumn BruteForceMinimum(const std::vector<int32_t>& values) {
+  EncodedColumn best = EncodedColumn::EncodeWith(Scheme::kForBitPack, values);
+  for (Scheme scheme : {Scheme::kDictionary, Scheme::kRaw}) {
+    EncodedColumn candidate = EncodedColumn::EncodeWith(scheme, values);
+    if (candidate.EncodedBytes() < best.EncodedBytes()) {
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+TEST(EncodingSelection, EncodeMatchesBruteForceMinimum) {
+  Rng rng(47);
+  std::vector<SelectionCase> cases = SelectionCases();
+  int dictionary_picks = 0;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    Rng local = rng.Fork(i);
+    const std::vector<int32_t> values = MakeColumn(cases[i], &local);
+    const EncodedColumn expected = BruteForceMinimum(values);
+    const EncodedColumn picked = EncodedColumn::Encode(values);
+    EXPECT_EQ(picked.scheme(), expected.scheme()) << Describe(cases[i]);
+    EXPECT_EQ(picked.EncodedBytes(), expected.EncodedBytes())
+        << Describe(cases[i]);
+    ASSERT_NO_FATAL_FAILURE(ExpectRoundTrip(picked, values))
+        << Describe(cases[i]);
+    dictionary_picks += picked.scheme() == Scheme::kDictionary;
+  }
+  // The grid is not degenerate: the dictionary wins somewhere.
+  EXPECT_GT(dictionary_picks, 0);
+}
+
+TEST(EncodingSelection, AnalyticForSizeMatchesPackedBytes) {
+  Rng rng(53);
+  std::vector<SelectionCase> cases = SelectionCases();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    Rng local = rng.Fork(i);
+    const std::vector<int32_t> values = MakeColumn(cases[i], &local);
+    EXPECT_EQ(PackedArray::PackedBytes(values.data(), values.size()),
+              PackedArray::Pack(values.data(), values.size()).Bytes())
+        << Describe(cases[i]);
+  }
+  EXPECT_EQ(PackedArray::PackedBytes(nullptr, 0),
+            PackedArray::Pack(nullptr, 0).Bytes());
+}
+
+TEST(EncodingDictionary, DenseRankAndSortedPathsAgree) {
+  Rng rng(59);
+  std::vector<SelectionCase> cases = SelectionCases();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    // The rank table is span-sized; keep the forced dense path small.
+    if (cases[i].span > (uint64_t{1} << 20)) continue;
+    Rng local = rng.Fork(i);
+    const std::vector<int32_t> values = MakeColumn(cases[i], &local);
+    const DictionaryCodes dense = DenseRankDictionary(values);
+    const DictionaryCodes sorted = SortedDictionary(values);
+    ASSERT_EQ(dense.values, sorted.values) << Describe(cases[i]);
+    ASSERT_EQ(dense.codes, sorted.codes) << Describe(cases[i]);
+    ASSERT_TRUE(std::is_sorted(dense.values.begin(), dense.values.end()));
+    // The column's dictionary, whichever path built it, agrees with both.
+    const EncodedColumn column =
+        EncodedColumn::EncodeWith(Scheme::kDictionary, values);
+    EXPECT_EQ(column.dictionary_size(), dense.values.size())
+        << Describe(cases[i]);
+    for (uint64_t j = 0; j < values.size(); ++j) {
+      ASSERT_EQ(column.Get(j),
+                dense.values[static_cast<size_t>(dense.codes[j])])
+          << Describe(cases[i]) << " index " << j;
+      ASSERT_EQ(column.Get(j), values[j]);
+    }
+  }
 }
 
 // --- predicate-on-encoded equivalence ---------------------------------------

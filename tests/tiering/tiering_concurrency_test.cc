@@ -57,8 +57,8 @@ TEST(TieringConcurrency, TouchVsAdvance) {
       manager.Advance();
       // Concurrent readers of the migration outputs — the values are
       // irrelevant here, only the locking is under test.
-      manager.standing_traffic().size();
-      manager.actuator_log().size();
+      manager.standing_traffic();
+      manager.actuator_log();
     }
     stop.store(true, std::memory_order_relaxed);
   });

@@ -44,6 +44,7 @@ METRICS = {
         ("modeled.geomean_byte_reduction", "higher", MODELED),
         ("modeled.geomean_speedup", "higher", MODELED),
         ("wallclock_scan.geomean_speedup", "higher", WALLCLOCK),
+        ("encode.mb_per_s", "higher", WALLCLOCK),
     ],
     "wallclock_ssb": [
         ("geomean_speedup", "higher", WALLCLOCK),
