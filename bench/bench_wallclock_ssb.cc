@@ -3,15 +3,18 @@
 // the *modeled* PMEM runtime, this measures what the host CPU actually
 // spends executing the queries functionally.
 //
-//   executors: serial | static-threads (fresh std::thread per query, the
-//              legacy engine path) | morsel-stealing (persistent pool)
+//   executors: serial | morsel-stealing (persistent pool)
 //   kernels:   scalar (row-at-a-time interpreter) | vectorized (columnar
 //              selection vectors + batched probes + flat aggregation)
 //
 // Every run is verified against ssb::ReferenceExecutor, including a
-// moderate-fault-preset pass through the same morsel dispatch, and the
-// per-query wall-clock plus the geomean speedup of morsel+vectorized over
-// the static+scalar baseline is written to BENCH_wallclock_ssb.json.
+// moderate-fault-preset pass through the same morsel dispatch. Each
+// headline changes one axis only: the executor speedup compares
+// morsel-vectorized with serial-vectorized (same kernels), the kernel
+// speedup compares morsel-vectorized with morsel-scalar (same executor).
+// Both are geomeans over the 13 queries of best-of-reps times; the
+// per-query best, median and min-max over reps go to
+// BENCH_wallclock_ssb.json.
 //
 // Flags: --smoke (sf 0.02, 1 rep — the CI configuration), --sf=<double>,
 //        --threads=<int>, --morsel=<tuples>, --reps=<int>.
@@ -42,43 +45,51 @@ namespace {
 
 struct Mode {
   const char* name;
-  bool parallel;
   ExecutorKind executor;
   bool vectorized;
 };
 
 constexpr Mode kModes[] = {
-    {"serial-scalar", false, ExecutorKind::kSerial, false},
-    {"serial-vectorized", false, ExecutorKind::kSerial, true},
-    {"static-scalar", true, ExecutorKind::kStaticThreads, false},
-    {"static-vectorized", true, ExecutorKind::kStaticThreads, true},
-    {"morsel-scalar", true, ExecutorKind::kMorselStealing, false},
-    {"morsel-vectorized", true, ExecutorKind::kMorselStealing, true},
+    {"serial-scalar", ExecutorKind::kSerial, false},
+    {"serial-vectorized", ExecutorKind::kSerial, true},
+    {"morsel-scalar", ExecutorKind::kMorselStealing, false},
+    {"morsel-vectorized", ExecutorKind::kMorselStealing, true},
 };
-constexpr const char* kBaseline = "static-scalar";
 constexpr const char* kContender = "morsel-vectorized";
+/// Same kernels, other executor: isolates the executor effect.
+constexpr const char* kExecutorBaseline = "serial-vectorized";
+/// Same executor, other kernels: isolates the kernel effect.
+constexpr const char* kKernelBaseline = "morsel-scalar";
 
-double MillisOf(const SsbEngine& engine, QueryId query, int reps,
-                bool* ok, bool* verified,
-                const ssb::ReferenceExecutor& reference) {
-  double best = 0.0;
+/// Wall-clock spread of one query in one mode over the reps.
+struct Timing {
+  double best = 0.0;  ///< min over reps: the headline figure
+  double median = 0.0;
+  double max = 0.0;
+};
+
+/// Times `reps` runs of `query`; false if any run fails. The first rep's
+/// output is checked against the reference (clearing `*verified`).
+bool TimeQuery(const SsbEngine& engine, QueryId query, int reps,
+               const ssb::ReferenceExecutor& reference, bool* verified,
+               Timing* timing) {
+  std::vector<double> ms;
   for (int rep = 0; rep < reps; ++rep) {
     auto start = std::chrono::steady_clock::now();
     auto run = engine.Execute(query);
     auto stop = std::chrono::steady_clock::now();
-    if (!run.ok()) {
-      *ok = false;
-      return 0.0;
-    }
+    if (!run.ok()) return false;
     if (rep == 0 && run->output != reference.Execute(query)) {
       *verified = false;
     }
-    double ms = std::chrono::duration<double, std::milli>(stop - start)
-                    .count();
-    if (rep == 0 || ms < best) best = ms;
+    ms.push_back(
+        std::chrono::duration<double, std::milli>(stop - start).count());
   }
-  *ok = true;
-  return best;
+  std::sort(ms.begin(), ms.end());
+  timing->best = ms.front();
+  timing->median = ms[ms.size() / 2];
+  timing->max = ms.back();
+  return true;
 }
 
 bool FaultMorselCheck(const ssb::Database& db,
@@ -132,11 +143,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  reps = std::max(reps, 1);
 
   PrintHeader("Wall-clock SSB: executor x kernel matrix",
               "execution layer (morsel-driven pool + vectorized kernels)",
-              "morsel-stealing + vectorized >= 2x geomean over the "
-              "per-query-thread scalar baseline");
+              "13/13 verified in every mode; executor and kernel "
+              "speedups reported separately");
   std::printf("sf %.3g, %d threads, %llu-tuple morsels, best of %d reps\n\n",
               sf, threads, static_cast<unsigned long long>(morsel_tuples),
               reps);
@@ -155,7 +167,6 @@ int main(int argc, char** argv) {
     config.mode = EngineMode::kPmemAware;
     config.media = Media::kPmem;
     config.threads = threads;
-    config.parallel_execution = mode.parallel;
     config.executor = mode.executor;
     config.vectorized = mode.vectorized;
     config.morsel_tuples = morsel_tuples;
@@ -168,44 +179,53 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> columns = {"Query"};
   for (const Mode& mode : kModes) columns.push_back(mode.name);
-  columns.push_back("Speedup");
+  columns.push_back("Executor x");
+  columns.push_back("Kernel x");
   columns.push_back("Results");
   TablePrinter table(columns);
 
-  // queries x modes -> best-of-reps milliseconds.
-  std::map<std::string, std::map<std::string, double>> millis;
+  // queries x modes -> wall-clock spread over the reps.
+  std::map<std::string, std::map<std::string, Timing>> timings;
   bool all_verified = true;
-  double log_speedup_sum = 0.0;
+  double log_executor_sum = 0.0;
+  double log_kernel_sum = 0.0;
   int query_count = 0;
   for (QueryId query : ssb::AllQueries()) {
-    std::vector<std::string> row = {ssb::QueryName(query)};
+    const std::string name = ssb::QueryName(query);
+    std::vector<std::string> row = {name};
     bool verified = true;
     for (size_t m = 0; m < std::size(kModes); ++m) {
-      bool ok = false;
-      double ms = MillisOf(*engines[m], query, reps, &ok, &verified,
-                           reference);
-      if (!ok) {
-        std::printf("%s failed on %s\n", kModes[m].name,
-                    ssb::QueryName(query).c_str());
+      Timing timing;
+      if (!TimeQuery(*engines[m], query, reps, reference, &verified,
+                     &timing)) {
+        std::printf("%s failed on %s\n", kModes[m].name, name.c_str());
         return 1;
       }
-      millis[ssb::QueryName(query)][kModes[m].name] = ms;
-      row.push_back(TablePrinter::Cell(ms, 2));
+      timings[name][kModes[m].name] = timing;
+      row.push_back(TablePrinter::Cell(timing.best, 2));
     }
-    double speedup = millis[ssb::QueryName(query)][kBaseline] /
-                     millis[ssb::QueryName(query)][kContender];
-    log_speedup_sum += std::log(speedup);
+    const double contender = timings[name][kContender].best;
+    const double executor_speedup =
+        timings[name][kExecutorBaseline].best / contender;
+    const double kernel_speedup =
+        timings[name][kKernelBaseline].best / contender;
+    log_executor_sum += std::log(executor_speedup);
+    log_kernel_sum += std::log(kernel_speedup);
     ++query_count;
     all_verified = all_verified && verified;
-    row.push_back(TablePrinter::Cell(speedup, 2));
+    row.push_back(TablePrinter::Cell(executor_speedup, 2));
+    row.push_back(TablePrinter::Cell(kernel_speedup, 2));
     row.push_back(verified ? "verified" : "MISMATCH");
     table.AddRow(row);
   }
   table.Print();
 
-  const double geomean = std::exp(log_speedup_sum / query_count);
-  std::printf("\ngeomean speedup %s vs %s: %.2fx\n", kContender, kBaseline,
-              geomean);
+  const double executor_geomean = std::exp(log_executor_sum / query_count);
+  const double kernel_geomean = std::exp(log_kernel_sum / query_count);
+  std::printf("\ngeomean executor speedup %s vs %s: %.2fx\n", kContender,
+              kExecutorBaseline, executor_geomean);
+  std::printf("geomean kernel speedup %s vs %s: %.2fx\n", kContender,
+              kKernelBaseline, kernel_geomean);
 
   const bool fault_ok = FaultMorselCheck(*db, reference, threads);
   std::printf("moderate-fault morsel check: %s\n",
@@ -218,22 +238,30 @@ int main(int argc, char** argv) {
        << "  \"threads\": " << threads << ",\n"
        << "  \"morsel_tuples\": " << morsel_tuples << ",\n"
        << "  \"repetitions\": " << reps << ",\n"
-       << "  \"baseline\": \"" << kBaseline << "\",\n"
        << "  \"contender\": \"" << kContender << "\",\n"
+       << "  \"executor_baseline\": \"" << kExecutorBaseline << "\",\n"
+       << "  \"kernel_baseline\": \"" << kKernelBaseline << "\",\n"
        << "  \"queries\": [\n";
   bool first = true;
-  for (const auto& [query, by_mode] : millis) {
+  for (const auto& [query, by_mode] : timings) {
     if (!first) json << ",\n";
     first = false;
     json << "    {\"query\": \"" << query << "\"";
     for (const Mode& mode : kModes) {
-      json << ", \"" << mode.name << "_ms\": " << by_mode.at(mode.name);
+      const Timing& t = by_mode.at(mode.name);
+      json << ", \"" << mode.name << "\": {\"best_ms\": " << t.best
+           << ", \"median_ms\": " << t.median << ", \"range_ms\": ["
+           << t.best << ", " << t.max << "]}";
     }
-    json << ", \"speedup\": "
-         << by_mode.at(kBaseline) / by_mode.at(kContender) << "}";
+    const double contender = by_mode.at(kContender).best;
+    json << ", \"executor_speedup\": "
+         << by_mode.at(kExecutorBaseline).best / contender
+         << ", \"kernel_speedup\": "
+         << by_mode.at(kKernelBaseline).best / contender << "}";
   }
   json << "\n  ],\n"
-       << "  \"geomean_speedup\": " << geomean << ",\n"
+       << "  \"executor_geomean_speedup\": " << executor_geomean << ",\n"
+       << "  \"kernel_geomean_speedup\": " << kernel_geomean << ",\n"
        << "  \"all_verified\": " << (all_verified ? "true" : "false") << ",\n"
        << "  \"fault_morsel_verified\": " << (fault_ok ? "true" : "false")
        << "\n}\n";

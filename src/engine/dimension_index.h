@@ -8,10 +8,9 @@
 //    several dependent sub-256 B random reads that amplify on PMEM.
 //
 // Both store uint64 payloads encoding the dimension attributes the queries
-// need, and count their probe traffic for the timing layer.
+// need; probe_cost() describes one probe's traffic for the timing layer.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -42,32 +41,16 @@ class DimensionIndex {
   Status Insert(uint64_t key, uint64_t payload);
   std::optional<uint64_t> Get(uint64_t key) const;
 
-  /// Batched probe for the vectorized kernels: looks up `n` keys into
-  /// `out` (0 for absent keys) and counts the n probes with a single
-  /// atomic add — per-row counter increments from 36 workers turn the
-  /// shared probe counter into a coherence hot spot.
-  void ProbeBatch(const uint64_t* keys, size_t n, uint64_t* out) const;
-
   uint64_t size() const;
   /// Bytes of index storage (the random-probe region size).
   uint64_t StorageBytes() const;
   ProbeCost probe_cost() const;
   IndexKind kind() const { return kind_; }
 
-  /// Probes since the last ResetStats (every Get counts one probe).
-  uint64_t probes() const {
-    return probes_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() const {
-    probes_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   IndexKind kind_;
   std::unique_ptr<DashTable> dash_;
   std::unordered_map<uint64_t, uint64_t> chained_;
-  /// Relaxed atomic: probes are counted from concurrent worker threads.
-  mutable std::atomic<uint64_t> probes_{0};
 };
 
 }  // namespace pmemolap

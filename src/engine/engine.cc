@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
-#include <thread>
 
 #include "encoding/encoding.h"
 #include "governor/telemetry.h"
@@ -36,8 +35,6 @@ const char* ExecutorKindName(ExecutorKind kind) {
   switch (kind) {
     case ExecutorKind::kSerial:
       return "serial";
-    case ExecutorKind::kStaticThreads:
-      return "static-threads";
     case ExecutorKind::kMorselStealing:
       return "morsel-stealing";
   }
@@ -231,9 +228,9 @@ Status SsbEngine::Prepare() {
   }
   int workers_per_socket =
       std::max(1, config_.threads / std::max(1, sockets_used));
-  // Degenerate shapes (threads > lineorder rows): per_worker would
-  // truncate to 0, leaving all-but-one range empty while threads still
-  // spawn — clamp the effective worker count to the tuple count.
+  // Degenerate shapes (threads > lineorder rows): clamp the effective
+  // worker count to the tuple count, so no worker range is empty and the
+  // pool spawns no thread that could never get a tuple.
   const uint64_t tuples_per_socket = std::max<uint64_t>(
       1, db_->lineorder.size() / static_cast<uint64_t>(sockets_used));
   if (static_cast<uint64_t>(workers_per_socket) > tuples_per_socket) {
@@ -249,15 +246,6 @@ Status SsbEngine::Prepare() {
     SocketPartition all;
     all.socket = 0;
     all.tuples = {0, db_->lineorder.size()};
-    uint64_t per_worker =
-        db_->lineorder.size() / static_cast<uint64_t>(workers_per_socket);
-    uint64_t begin = 0;
-    for (int w = 0; w < workers_per_socket; ++w) {
-      uint64_t end = w + 1 == workers_per_socket ? db_->lineorder.size()
-                                                 : begin + per_worker;
-      all.worker_ranges.push_back({begin, end});
-      begin = end;
-    }
     partitions_ = {std::move(all)};
   }
   // Host-execution structures: the columnar projection + dense date map
@@ -309,8 +297,7 @@ Status SsbEngine::Prepare() {
     }
   }
   pool_.reset();
-  if (config_.parallel_execution &&
-      config_.executor == ExecutorKind::kMorselStealing) {
+  if (config_.executor == ExecutorKind::kMorselStealing) {
     // The clamp above also bounds the pool: no point spawning more host
     // threads than there are effective workers.
     pool_ = std::make_unique<WorkStealingPool>(
@@ -972,9 +959,6 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
                       std::clamp(range.end, window_begin, window_end)};
   };
   const bool vectorized = config_.vectorized && !guarded && !durable;
-  const ExecutorKind executor = config_.parallel_execution
-                                    ? config_.executor
-                                    : ExecutorKind::kSerial;
   const size_t slots = partitions_.size();
   // The same token the executors poll between morsels also cuts guarded
   // retry storms short: FaultAwareReader checks it between attempts, so a
@@ -985,7 +969,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
   // non-zero when governed with shaping off — the ablation's "before").
   uint64_t xpline_amplified_bytes = 0;
 
-  if (executor == ExecutorKind::kMorselStealing && pool_ != nullptr) {
+  if (pool_ != nullptr) {
     // Morsel-granular dispatch on the persistent pool: per-socket run
     // queues, idle workers steal across sockets, first failure cancels.
     MorselPlan plan =
@@ -1069,52 +1053,6 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     progress.units_stolen = stats.stolen;
     progress.units_dropped = stats.dropped;
     PMEMOLAP_RETURN_NOT_OK(pool_status);
-  } else if (executor == ExecutorKind::kStaticThreads) {
-    // The legacy path: one fresh std::thread per static worker range,
-    // joined per socket. Kept as the wall-clock baseline. Deadlines are
-    // checked between sockets (the coarsest cancellation granularity of
-    // the three executors — static ranges can't stop mid-socket).
-    progress.units_total = slots;
-    for (size_t slot = 0; slot < slots; ++slot) {
-      PMEMOLAP_RETURN_NOT_OK(token.Check());
-      const SocketPartition& partition = partitions_[slot];
-      if (tiered) {
-        const TupleRange touched = clamp_range(partition.tuples);
-        config_.tiering->Touch(touched.begin, touched.end);
-      }
-      const size_t workers = partition.worker_ranges.size();
-      if (workers <= 1) {
-        states.emplace_back();
-        PMEMOLAP_RETURN_NOT_OK(
-            ExecuteRangeInto(query, slot, clamp_range(partition.tuples),
-                             vectorized, snapshot_epoch, decision_ptr,
-                             &states.back(), cancel_check));
-        ++progress.units_executed;
-        continue;
-      }
-      const size_t base = states.size();
-      states.resize(base + workers);
-      std::vector<Status> statuses(workers);
-      // lint:allow(raw-thread): kStaticThreads IS the legacy
-      // spawn-per-query baseline the pool is benchmarked against; it
-      // must not route through WorkStealingPool.
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (size_t w = 0; w < workers; ++w) {
-        threads.emplace_back([&, slot, w, base] {
-          statuses[w] = ExecuteRangeInto(
-              query, slot, clamp_range(partitions_[slot].worker_ranges[w]),
-              vectorized, snapshot_epoch, decision_ptr, &states[base + w],
-              cancel_check);
-        });
-      }
-      // lint:allow(raw-thread): join of the baseline executor above.
-      for (std::thread& thread : threads) thread.join();
-      for (const Status& status : statuses) {
-        PMEMOLAP_RETURN_NOT_OK(status);
-      }
-      ++progress.units_executed;
-    }
   } else {
     // Serial: one socket range at a time, deadline checked between them.
     progress.units_total = slots;

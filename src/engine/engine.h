@@ -56,9 +56,6 @@ const char* EngineModeName(EngineMode mode);
 enum class ExecutorKind {
   /// No threads: each socket's range executes inline.
   kSerial,
-  /// The legacy path: one fresh std::thread per static worker range,
-  /// spawned and joined per query.
-  kStaticThreads,
   /// The persistent work-stealing pool with per-socket run queues and
   /// morsel-granular dispatch.
   kMorselStealing,
@@ -92,11 +89,8 @@ struct EngineConfig {
   double project_to_sf = 0.0;
   /// The handcrafted SSB runs on fsdax (Dash needs a filesystem, §6.2).
   bool devdax = false;
-  /// Execute worker ranges on real host threads. The modeled runtime is
-  /// unaffected; this exercises the engine's concurrency (thread-safe
-  /// probes, disjoint ranges, result merging). False forces kSerial.
-  bool parallel_execution = true;
-  /// Host execution strategy when parallel_execution is on.
+  /// Host execution strategy. The modeled runtime is a function of the
+  /// config alone: every executor prices identical traffic.
   ExecutorKind executor = ExecutorKind::kMorselStealing;
   /// Use the vectorized columnar kernels (selection vectors, batched
   /// probes, flat per-worker aggregation) instead of the row-at-a-time

@@ -7,10 +7,10 @@
 //
 //   1. selection-vector predicate evaluation over ssb::ColumnStore arrays
 //      (touches only the filtered columns, not the 128 B row);
-//   2. batched dimension-index probes (DimensionIndex::ProbeBatch — one
-//      probe-counter update per batch) with a dense-key fast path for the
-//      date dimension (datekeys span seven years, so a direct-indexed
-//      payload array replaces the hash probe entirely);
+//   2. batched dimension probes through DenseDimMap: every SSB dimension
+//      has a dense key space, so a direct-indexed payload array replaces
+//      the hash probe entirely, while KernelCounters still counts each
+//      probe per stage for the traffic model;
 //   3. flat open-addressing aggregation (AggTable) per worker, merged
 //      once at the end of the query.
 //
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "engine/agg_table.h"
-#include "engine/dimension_index.h"
 #include "ssb/column_store.h"
 #include "ssb/dbgen.h"
 #include "ssb/encoded_column_store.h"

@@ -60,7 +60,7 @@ const char* QueryPriorityName(QueryPriority priority);
 /// How far a query got before finishing or being cancelled — returned
 /// alongside kDeadlineExceeded so callers see partial progress instead of
 /// a bare error. For the morsel executor the unit is morsels; the serial
-/// and static-thread paths count their per-socket ranges.
+/// executor counts its per-socket ranges.
 struct QueryProgress {
   bool admitted = false;        ///< passed the admission gate (or no gate)
   uint64_t units_total = 0;     ///< morsels (or ranges) the plan held
@@ -75,9 +75,9 @@ inline constexpr uint64_t kLatestSnapshot = ~uint64_t{0};
 /// Sentinel for "scan through the end of the fact table".
 inline constexpr uint64_t kScanToEnd = ~uint64_t{0};
 
-/// Per-query lifecycle options accepted by SsbEngine::Execute and
-/// ExecutePlanParallel. Default-constructed options change nothing: no
-/// deadline, normal priority, unlimited retries.
+/// Per-query lifecycle options accepted by SsbEngine::Execute.
+/// Default-constructed options change nothing: no deadline, normal
+/// priority, unlimited retries.
 struct QueryOptions {
   Deadline deadline;
   QueryPriority priority = QueryPriority::kNormal;

@@ -183,13 +183,11 @@ Status QueryService::Prepare() {
   primary.mode = EngineMode::kPmemAware;
   primary.media = Media::kPmem;
   primary.threads = config_.threads;
-  primary.executor = config_.executor;
   primary.project_to_sf = config_.project_to_sf;
   primary.governor = governor_.get();
-  // Guarded/durable modes take the scalar row path; columnar/vectorized
-  // only apply to the plain campaigns.
-  primary.columnar = config_.columnar && !poison_mode && !durable_mode;
-  primary.vectorized = config_.vectorized && primary.columnar;
+  // Guarded/durable modes take the scalar row path; the columnar layout
+  // (and with it the vectorized kernels) only applies to plain campaigns.
+  primary.columnar = !poison_mode && !durable_mode;
   if (poison_mode) primary.fault = &domain_;
   if (durable_mode) primary.durable = table_.get();
   // Admission lives at the service edge (we mirror the wait queues on
@@ -198,7 +196,7 @@ Status QueryService::Prepare() {
 
   EngineConfig degraded = primary;
   degraded.threads = std::max(1, config_.degraded_threads);
-  degraded.parallel_execution = false;
+  degraded.executor = ExecutorKind::kSerial;
   degraded.governor = nullptr;
 
   primary_ = std::make_unique<SsbEngine>(db_, model_, primary);

@@ -70,23 +70,20 @@ uint64_t ScanRecordBytes(const ExecutionProfile& profile) {
   return bytes;
 }
 
-/// The six executor × kernel combinations (serial/static/stealing, each
-/// scalar and vectorized). The encoded store is built in every one, so
-/// modeled seconds must agree across all six.
+/// The four executor × kernel combinations (serial/stealing, each scalar
+/// and vectorized). The encoded store is built in every one, so modeled
+/// seconds must agree across all four.
 struct ExecCombo {
   const char* name;
-  bool parallel;
   ExecutorKind executor;
   bool vectorized;
 };
 
 constexpr ExecCombo kCombos[] = {
-    {"serial-scalar", false, ExecutorKind::kSerial, false},
-    {"serial-vectorized", false, ExecutorKind::kSerial, true},
-    {"static-scalar", true, ExecutorKind::kStaticThreads, false},
-    {"static-vectorized", true, ExecutorKind::kStaticThreads, true},
-    {"stealing-scalar", true, ExecutorKind::kMorselStealing, false},
-    {"stealing-vectorized", true, ExecutorKind::kMorselStealing, true},
+    {"serial-scalar", ExecutorKind::kSerial, false},
+    {"serial-vectorized", ExecutorKind::kSerial, true},
+    {"stealing-scalar", ExecutorKind::kMorselStealing, false},
+    {"stealing-vectorized", ExecutorKind::kMorselStealing, true},
 };
 
 class EngineEncodingTest : public ::testing::TestWithParam<EngineMode> {};
@@ -99,7 +96,6 @@ TEST_P(EngineEncodingTest, BitIdenticalAcrossExecutorsAndKernels) {
   std::vector<std::unique_ptr<SsbEngine>> engines;
   for (const ExecCombo& combo : kCombos) {
     EngineConfig config = EncodedConfig(GetParam());
-    config.parallel_execution = combo.parallel;
     config.executor = combo.executor;
     config.vectorized = combo.vectorized;
     config.morsel_tuples = 4096;  // plenty of stealable units at sf 0.02
@@ -109,7 +105,7 @@ TEST_P(EngineEncodingTest, BitIdenticalAcrossExecutorsAndKernels) {
   }
 
   EngineConfig raw = ColumnarConfig(GetParam());
-  raw.parallel_execution = false;
+  raw.executor = ExecutorKind::kSerial;
   raw.vectorized = false;
   SsbEngine raw_engine(&env.db(), &env.model(), raw);
   ASSERT_TRUE(raw_engine.Prepare().ok());

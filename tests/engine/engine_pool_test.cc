@@ -1,13 +1,14 @@
-// Executor equivalence: the persistent morsel-stealing pool with the
-// vectorized kernels must produce bit-identical outputs AND bit-identical
-// modeled runtimes to the serial scalar interpreter — for every query, in
-// both engine modes, and (scalar guarded path, same morsel API) under an
-// injected-fault preset.
+// Executor equivalence: every executor x kernel mode (serial or the
+// persistent morsel-stealing pool, scalar or vectorized kernels) must
+// produce bit-identical outputs AND bit-identical modeled runtimes to the
+// serial scalar interpreter — for every query, in both engine modes, and
+// (scalar guarded path, same morsel API) under an injected-fault preset.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "fault/fault_domain.h"
 #include "ssb/reference.h"
@@ -56,49 +57,58 @@ TEST_P(ExecutorEquivalenceTest, PoolBitIdenticalToSerialScalar) {
   PoolEnv& env = PoolEnv::Get();
 
   EngineConfig serial = BaseConfig(GetParam());
-  serial.parallel_execution = false;
+  serial.executor = ExecutorKind::kSerial;
   serial.vectorized = false;
   SsbEngine serial_engine(&env.db(), &env.model(), serial);
   ASSERT_TRUE(serial_engine.Prepare().ok());
 
-  EngineConfig pooled = BaseConfig(GetParam());
-  pooled.executor = ExecutorKind::kMorselStealing;
-  pooled.vectorized = true;
-  // Small morsels so the sf-0.02 fact table (120k rows) still splits into
-  // plenty of stealable units.
-  pooled.morsel_tuples = 4096;
-  SsbEngine pooled_engine(&env.db(), &env.model(), pooled);
-  ASSERT_TRUE(pooled_engine.Prepare().ok());
-
-  EngineConfig threads = BaseConfig(GetParam());
-  threads.executor = ExecutorKind::kStaticThreads;
-  threads.vectorized = true;
-  SsbEngine threads_engine(&env.db(), &env.model(), threads);
-  ASSERT_TRUE(threads_engine.Prepare().ok());
+  // The other three executor x kernel modes, each held to serial-scalar.
+  struct Mode {
+    const char* name;
+    ExecutorKind executor;
+    bool vectorized;
+  };
+  constexpr Mode kModes[] = {
+      {"serial-vectorized", ExecutorKind::kSerial, true},
+      {"morsel-scalar", ExecutorKind::kMorselStealing, false},
+      {"morsel-vectorized", ExecutorKind::kMorselStealing, true},
+  };
+  std::vector<std::unique_ptr<SsbEngine>> engines;
+  for (const Mode& mode : kModes) {
+    EngineConfig config = BaseConfig(GetParam());
+    config.executor = mode.executor;
+    config.vectorized = mode.vectorized;
+    // Small morsels so the sf-0.02 fact table (120k rows) still splits
+    // into plenty of stealable units.
+    config.morsel_tuples = 4096;
+    engines.push_back(
+        std::make_unique<SsbEngine>(&env.db(), &env.model(), config));
+    ASSERT_TRUE(engines.back()->Prepare().ok()) << mode.name;
+  }
 
   for (QueryId query : ssb::AllQueries()) {
     auto serial_run = serial_engine.Execute(query);
-    auto pooled_run = pooled_engine.Execute(query);
-    auto threads_run = threads_engine.Execute(query);
     ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
-    ASSERT_TRUE(pooled_run.ok()) << pooled_run.status().ToString();
-    ASSERT_TRUE(threads_run.ok()) << threads_run.status().ToString();
-
-    EXPECT_EQ(pooled_run->output, serial_run->output)
-        << ssb::QueryName(query) << ": pool vs serial";
-    EXPECT_EQ(threads_run->output, serial_run->output)
-        << ssb::QueryName(query) << ": static threads vs serial";
     EXPECT_EQ(serial_run->output, env.reference().Execute(query))
         << ssb::QueryName(query) << ": serial vs reference";
-    // The vectorized kernels mirror the scalar short-circuit probe counts,
-    // so the traffic model sees identical inputs: the projected runtime
-    // must match to the bit, not approximately.
-    EXPECT_EQ(pooled_run->seconds, serial_run->seconds)
-        << ssb::QueryName(query) << ": modeled runtime must not drift";
-    EXPECT_EQ(pooled_run->cpu.probes, serial_run->cpu.probes)
-        << ssb::QueryName(query);
-    EXPECT_EQ(pooled_run->cpu.agg_updates, serial_run->cpu.agg_updates)
-        << ssb::QueryName(query);
+    for (size_t m = 0; m < engines.size(); ++m) {
+      auto run = engines[m]->Execute(query);
+      ASSERT_TRUE(run.ok()) << kModes[m].name << ": "
+                            << run.status().ToString();
+      EXPECT_EQ(run->output, serial_run->output)
+          << kModes[m].name << "/" << ssb::QueryName(query)
+          << ": vs serial-scalar";
+      // The vectorized kernels mirror the scalar short-circuit probe
+      // counts, so the traffic model sees identical inputs: the projected
+      // runtime must match to the bit, not approximately.
+      EXPECT_EQ(run->seconds, serial_run->seconds)
+          << kModes[m].name << "/" << ssb::QueryName(query)
+          << ": modeled runtime must not drift";
+      EXPECT_EQ(run->cpu.probes, serial_run->cpu.probes)
+          << kModes[m].name << "/" << ssb::QueryName(query);
+      EXPECT_EQ(run->cpu.agg_updates, serial_run->cpu.agg_updates)
+          << kModes[m].name << "/" << ssb::QueryName(query);
+    }
   }
 }
 
@@ -142,9 +152,9 @@ TEST(ExecutorFaultTest, MorselStealingBitIdenticalUnderModerateFaults) {
   }
 }
 
-// Satellite: more threads than tuples must not produce degenerate worker
-// ranges — the static split clamps, and both executors still agree with
-// the reference on a tiny database.
+// More threads than tuples must not produce degenerate workers: Prepare
+// clamps the worker count, and both executors still agree with the
+// reference on a tiny database.
 TEST(ExecutorClampTest, MoreThreadsThanRows) {
   auto tiny = ssb::Generate({.scale_factor = 0.00002, .seed = 7});
   ASSERT_TRUE(tiny.ok());
@@ -152,7 +162,7 @@ TEST(ExecutorClampTest, MoreThreadsThanRows) {
   ssb::ReferenceExecutor reference(&*tiny);
 
   for (ExecutorKind kind :
-       {ExecutorKind::kStaticThreads, ExecutorKind::kMorselStealing}) {
+       {ExecutorKind::kSerial, ExecutorKind::kMorselStealing}) {
     EngineConfig config = BaseConfig(EngineMode::kPmemAware);
     config.threads = 10'000;  // way past the row count
     config.executor = kind;

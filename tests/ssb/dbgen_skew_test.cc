@@ -92,9 +92,9 @@ TEST(ParallelExecutionTest, MatchesSerialExecution) {
   pmemolap::EngineConfig parallel;
   parallel.mode = pmemolap::EngineMode::kPmemAware;
   parallel.threads = 36;
-  parallel.parallel_execution = true;
+  parallel.executor = pmemolap::ExecutorKind::kMorselStealing;
   pmemolap::EngineConfig serial = parallel;
-  serial.parallel_execution = false;
+  serial.executor = pmemolap::ExecutorKind::kSerial;
 
   pmemolap::SsbEngine par_engine(&db.value(), &model, parallel);
   pmemolap::SsbEngine ser_engine(&db.value(), &model, serial);
