@@ -253,12 +253,15 @@ Status SsbEngine::Prepare() {
   // guarded scalar path), and the persistent work-stealing pool. The
   // encoded store is built even when `vectorized` is off: modeled scan
   // pricing must be a function of the config alone, identical across all
-  // executor modes, so the scalar path prices encoded scans too.
+  // executor modes, so the scalar path prices encoded scans too. Durable
+  // queries answer from the durable image, so durable mode builds the
+  // dense maps but no projection of db_->lineorder.
   encoded_ = ssb::EncodedColumnStore();
-  if ((config_.vectorized || config_.encoding) && !guarded &&
-      config_.durable == nullptr) {
-    columns_ = ssb::ColumnStore(db_->lineorder);
-    if (config_.encoding) encoded_ = ssb::EncodedColumnStore(columns_);
+  if ((config_.vectorized || config_.encoding) && !guarded) {
+    if (config_.durable == nullptr) {
+      columns_ = ssb::ColumnStore(db_->lineorder);
+      if (config_.encoding) encoded_ = ssb::EncodedColumnStore(columns_);
+    }
     date_dense_.Build(db_->date);
     std::vector<int32_t> keys;
     std::vector<uint64_t> payloads;
@@ -752,7 +755,6 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
   // copies, so eviction (falling back to the base map) cannot change any
   // query result.
   KernelContext ctx;
-  ctx.columns = &columns_;
   // Decode-on-scan: with encoding on, the kernels read block-decoded
   // frames (and run flight-1 predicates on the encoded data directly)
   // instead of the raw columns. Same values, bit-identical results.
@@ -771,9 +773,30 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
                  ? &part_staged_
                  : &part_dense_;
   KernelCounters counters;
-  ExecuteMorselKernel(query, ctx, range.begin, range.end, &state->scratch,
-                      &state->groups, &state->scalar_sum, &state->scalar,
-                      &counters);
+  if (config_.durable != nullptr) {
+    // Every byte comes through ReadSnapshot, one call per block: the
+    // snapshot bound, uncommitted epochs and a modeled crash all fail
+    // the read exactly as on the scalar path.
+    state->rows.resize(kDurableBlockRows);
+    ctx.rows = state->rows.data();
+    for (uint64_t begin = range.begin; begin < range.end;
+         begin += kDurableBlockRows) {
+      const uint64_t end = std::min(range.end, begin + kDurableBlockRows);
+      PMEMOLAP_RETURN_NOT_OK(config_.durable->ReadSnapshot(
+          snapshot_epoch, begin * sizeof(ssb::LineorderRow),
+          (end - begin) * sizeof(ssb::LineorderRow),
+          reinterpret_cast<std::byte*>(state->rows.data())));
+      ctx.rows_base = begin;
+      ExecuteMorselKernel(query, ctx, begin, end, &state->scratch,
+                          &state->groups, &state->scalar_sum, &state->scalar,
+                          &counters);
+    }
+  } else {
+    ctx.columns = &columns_;
+    ExecuteMorselKernel(query, ctx, range.begin, range.end, &state->scratch,
+                        &state->groups, &state->scalar_sum, &state->scalar,
+                        &counters);
+  }
   ProbeCounters& probes = state->probes[slot];
   probes.date += counters.date_probes;
   probes.customer += counters.customer_probes;
@@ -958,7 +981,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     return TupleRange{std::clamp(range.begin, window_begin, window_end),
                       std::clamp(range.end, window_begin, window_end)};
   };
-  const bool vectorized = config_.vectorized && !guarded && !durable;
+  const bool vectorized = config_.vectorized && !guarded;
   const size_t slots = partitions_.size();
   // The same token the executors poll between morsels also cuts guarded
   // retry storms short: FaultAwareReader checks it between attempts, so a

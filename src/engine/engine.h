@@ -94,7 +94,8 @@ struct EngineConfig {
   ExecutorKind executor = ExecutorKind::kMorselStealing;
   /// Use the vectorized columnar kernels (selection vectors, batched
   /// probes, flat per-worker aggregation) instead of the row-at-a-time
-  /// interpreter. Fault mode always takes the scalar guarded read path.
+  /// interpreter. Durable mode runs them over blocks of snapshot rows;
+  /// only fault mode always takes the scalar guarded read path.
   bool vectorized = true;
   /// Scan the compressed encoded column store (src/encoding): each
   /// lineorder column is FoR-bit-packed, dictionary-encoded, or raw —
@@ -143,8 +144,9 @@ struct EngineConfig {
   /// standing ingest write traffic joins the query's background classes —
   /// so log writes show up at the governor's write knee. Queries scan
   /// only committed rows: a crash mid-epoch can never surface torn data
-  /// to a reader. Mutually exclusive with `fault` guarded mode; forces
-  /// the scalar path. Must outlive the engine.
+  /// to a reader. The vectorized kernels read each morsel's rows in
+  /// fixed-size blocks, one ReadSnapshot per block. Mutually exclusive
+  /// with `fault` guarded mode. Must outlive the engine.
   DurableTable* durable = nullptr;
   /// Non-null enables three-tier DRAM↔PMEM↔SSD placement of the fact
   /// table (larger-than-memory mode): Prepare attaches the manager's
@@ -253,10 +255,20 @@ class SsbEngine {
     std::vector<ProbeCounters> probes;  ///< per partition slot
     std::vector<uint64_t> qualifying;   ///< per partition slot
     KernelScratch scratch;
+    /// Durable vectorized path: the block of committed rows the kernels
+    /// read, refilled by one ReadSnapshot per kDurableBlockRows.
+    std::vector<ssb::LineorderRow> rows;
   };
+
+  /// Rows per durable snapshot read on the vectorized path: 256 KiB of
+  /// 128 B rows, small enough to stay cache-resident while the kernels
+  /// transpose the flight's columns out of it.
+  static constexpr uint64_t kDurableBlockRows = 2048;
 
   /// Executes tuples [range) of partition slot `slot` into `state`,
   /// through the vectorized kernels or the scalar (guarded-capable) path.
+  /// In durable mode the kernels run block by block over rows read from
+  /// `snapshot_epoch`.
   /// A non-null `decision` routes probes of governor-staged dimensions to
   /// the DRAM replicas (identical payloads: results are bit-identical).
   Status ExecuteRangeInto(ssb::QueryId query, size_t slot,
@@ -313,7 +325,9 @@ class SsbEngine {
   ReplicatedIndex part_index_;
   std::vector<SocketPartition> partitions_;
   /// Columnar projection + dense dimension maps for the vectorized
-  /// kernels (built in Prepare unless running in fault mode).
+  /// kernels (built in Prepare unless running in fault mode). Durable
+  /// mode builds only the dense maps: its rows come from the durable
+  /// image, never from db_->lineorder.
   ssb::ColumnStore columns_;
   /// Compressed view of columns_ (EngineConfig::encoding): scheme picked
   /// per column at Prepare. Built in every executor mode so encoded scan

@@ -41,17 +41,54 @@ const std::vector<int32_t>& RawColumn(const ssb::ColumnStore& columns,
   return columns.orderdate();
 }
 
+/// The LineorderRow field a projected column is cut from.
+int32_t ssb::LineorderRow::*RowField(LineorderColumn column) {
+  switch (column) {
+    case LineorderColumn::kOrderdate:
+      return &ssb::LineorderRow::orderdate;
+    case LineorderColumn::kCustkey:
+      return &ssb::LineorderRow::custkey;
+    case LineorderColumn::kPartkey:
+      return &ssb::LineorderRow::partkey;
+    case LineorderColumn::kSuppkey:
+      return &ssb::LineorderRow::suppkey;
+    case LineorderColumn::kQuantity:
+      return &ssb::LineorderRow::quantity;
+    case LineorderColumn::kDiscount:
+      return &ssb::LineorderRow::discount;
+    case LineorderColumn::kExtendedprice:
+      return &ssb::LineorderRow::extendedprice;
+    case LineorderColumn::kRevenue:
+      return &ssb::LineorderRow::revenue;
+    case LineorderColumn::kSupplycost:
+      return &ssb::LineorderRow::supplycost;
+  }
+  return &ssb::LineorderRow::orderdate;
+}
+
+/// Copies `field` of rows[0, n) into out[0, n).
+void TransposeRows(const ssb::LineorderRow* rows, uint64_t n,
+                   int32_t ssb::LineorderRow::*field, int32_t* out) {
+  for (uint64_t i = 0; i < n; ++i) out[i] = rows[i].*field;
+}
+
 /// The morsel's view of one column: a zero-copy slice of the raw vector,
-/// or (encoded path) a block decode of [begin, end) into the scratch
-/// buffer for that column — the vectorized decode-on-scan step.
+/// or a copy of [begin, end) into the scratch buffer for that column —
+/// block-decoded from the encoded frames (decode-on-scan), or transposed
+/// out of the durable row block.
 ColumnSlice SliceFor(const KernelContext& ctx, LineorderColumn column,
                      uint64_t begin, uint64_t end, KernelScratch* s) {
-  if (ctx.encoded == nullptr) {
+  if (ctx.rows == nullptr && ctx.encoded == nullptr) {
     return ColumnSlice{RawColumn(*ctx.columns, column).data(), 0};
   }
   std::vector<int32_t>& buffer = s->decoded[static_cast<size_t>(column)];
   buffer.resize(end - begin);
-  ctx.encoded->column(column).Decode(begin, end, buffer.data());
+  if (ctx.rows != nullptr) {
+    TransposeRows(ctx.rows + (begin - ctx.rows_base), end - begin,
+                  RowField(column), buffer.data());
+  } else {
+    ctx.encoded->column(column).Decode(begin, end, buffer.data());
+  }
   return ColumnSlice{buffer.data(), begin};
 }
 
@@ -133,9 +170,10 @@ Flight1Predicate Flight1PredicateOf(QueryId query) {
   }
 }
 
-/// Flight-1 date filter + sum over the final selection, shared by the raw
-/// and encoded paths. `orderdate_at`/`price_at`/`discount_at` map a sel
-/// position to the tuple's attribute values.
+/// Flight-1 date filter + sum over the final selection, shared by the
+/// column-slice (raw or durable row block) and encoded paths.
+/// `orderdate_at`/`price_at`/`discount_at` map a sel position to the
+/// tuple's attribute values.
 template <typename Date, typename Price, typename Discount>
 void Flight1Aggregate(QueryId query, const KernelContext& ctx,
                       KernelScratch* s, int64_t* scalar_sum,
@@ -206,10 +244,14 @@ void Flight1(QueryId query, const KernelContext& ctx, uint64_t begin,
     Flight1Encoded(query, ctx, begin, end, s, scalar_sum, counters);
     return;
   }
-  const std::vector<int32_t>& discount = ctx.columns->discount();
-  const std::vector<int32_t>& quantity = ctx.columns->quantity();
-  const std::vector<int32_t>& orderdate = ctx.columns->orderdate();
-  const std::vector<int32_t>& price = ctx.columns->extendedprice();
+  const ColumnSlice discount =
+      SliceFor(ctx, LineorderColumn::kDiscount, begin, end, s);
+  const ColumnSlice quantity =
+      SliceFor(ctx, LineorderColumn::kQuantity, begin, end, s);
+  const ColumnSlice orderdate =
+      SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s);
+  const ColumnSlice price =
+      SliceFor(ctx, LineorderColumn::kExtendedprice, begin, end, s);
 
   s->sel.clear();
   switch (query) {

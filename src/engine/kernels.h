@@ -5,7 +5,7 @@
 // wall-clock goes to interpretation overhead, not memory bandwidth. These
 // kernels process a morsel in columnar stages instead:
 //
-//   1. selection-vector predicate evaluation over ssb::ColumnStore arrays
+//   1. selection-vector predicate evaluation over column arrays
 //      (touches only the filtered columns, not the 128 B row);
 //   2. batched dimension probes through DenseDimMap: every SSB dimension
 //      has a dense key space, so a direct-indexed payload array replaces
@@ -13,6 +13,12 @@
 //      probe per stage for the traffic model;
 //   3. flat open-addressing aggregation (AggTable) per worker, merged
 //      once at the end of the query.
+//
+// The columns come from one of three sources (KernelContext): the raw
+// ssb::ColumnStore vectors, block decode of the encoded column store, or
+// a block of committed rows read out of a durable snapshot and transposed
+// column by column. The flight code is written once against ColumnSlice;
+// only flight 1's predicate-on-encoded path is specific to its source.
 //
 // The kernels mirror the scalar switch's short-circuit semantics exactly:
 // a dimension is probed only for tuples that survived the previous stage,
@@ -125,9 +131,10 @@ class DenseDimMap {
 
 /// One column of a morsel as the kernels see it: a base pointer plus the
 /// global index of its first element. The raw path slices the ColumnStore
-/// vector directly (base 0, zero copy); the encoded path slices a
-/// morsel-local decode buffer (base = morsel begin). The staged flight
-/// code is written once against this view.
+/// vector directly (base 0, zero copy); the encoded and durable paths
+/// slice a morsel-local buffer (base = first tuple of the kernel call)
+/// filled by block decode or by transposing the row block. The staged
+/// flight code is written once against this view.
 struct ColumnSlice {
   const int32_t* data = nullptr;
   uint64_t base = 0;
@@ -137,15 +144,25 @@ struct ColumnSlice {
   }
 };
 
-/// Everything one worker needs to execute a morsel: the column store plus
-/// the dense dimension lookup arrays. A non-null `encoded` switches the
-/// kernels to decode-on-scan: flight predicates run against the encoded
-/// frames (FoR frame-skipping, dictionary code rewriting) and the staged
-/// kernels read block-decoded morsel buffers instead of the raw columns.
-/// Results and probe counts are bit-identical either way.
+/// Everything one worker needs to execute a morsel: one column source
+/// plus the dense dimension lookup arrays. The source is, in order of
+/// precedence:
+///  - a durable row block (`rows` non-null): committed rows read out of a
+///    snapshot, `rows[0]` being global tuple `rows_base`; the kernels
+///    transpose only the columns the flight touches, and [begin, end)
+///    must lie inside the block;
+///  - the encoded store (`encoded` non-null), scanned by decode-on-scan:
+///    flight predicates run against the encoded frames (FoR
+///    frame-skipping, dictionary code rewriting) and the staged kernels
+///    read block-decoded morsel buffers;
+///  - the raw `columns`, read in place.
+/// Results and probe counts are bit-identical whichever source holds the
+/// same rows.
 struct KernelContext {
   const ssb::ColumnStore* columns = nullptr;
   const ssb::EncodedColumnStore* encoded = nullptr;
+  const ssb::LineorderRow* rows = nullptr;
+  uint64_t rows_base = 0;
   const DenseDimMap* date = nullptr;
   const DenseDimMap* customer = nullptr;
   const DenseDimMap* supplier = nullptr;
@@ -171,8 +188,9 @@ struct KernelScratch {
   std::vector<int32_t> attr_a;     ///< carried attribute, aligned with sel
   std::vector<int32_t> attr_b;     ///< second carried attribute
   std::vector<int32_t> attr_c;     ///< third carried attribute (flight 1)
-  /// Morsel-local decode buffers for the encoded path, one per lineorder
-  /// column (only the flight's touched columns are filled).
+  /// Morsel-local column buffers for the encoded and durable row-block
+  /// sources, one per lineorder column (only the flight's touched columns
+  /// are filled).
   std::array<std::vector<int32_t>, ssb::kNumLineorderColumns> decoded;
 };
 
