@@ -29,13 +29,13 @@
 //      gates the MB/s against the committed baseline.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "common/rng.h"
 #include "encoding/encoding.h"
 #include "engine/engine.h"
@@ -48,13 +48,6 @@ using ssb::QueryId;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
 std::string F2(double v) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.2f", v);
@@ -65,13 +58,6 @@ std::string F3(double v) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.3f", v);
   return buffer;
-}
-
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -226,8 +212,8 @@ void RunModeledScorecard(const ssb::Database& db, const MemSystemModel& model,
          << ", \"encoded_scan_bytes\": " << enc_scan << "}";
     first = false;
   }
-  const double speedup_geomean = Geomean(speedups);
-  const double byte_geomean = Geomean(byte_reductions);
+  const double speedup_geomean = GeoMean(speedups);
+  const double byte_geomean = GeoMean(byte_reductions);
   table.Print();
   std::printf("  geomean: %.2fx faster, %.2fx fewer scan bytes\n",
               speedup_geomean, byte_geomean);
@@ -369,7 +355,7 @@ void RunWallClockScan(std::ofstream& json) {
          << "\", \"raw_gbps\": " << k.raw_gbps
          << ", \"encoded_gbps\": " << k.encoded_gbps << "}";
   }
-  const double geomean = Geomean(speedups);
+  const double geomean = GeoMean(speedups);
   table.Print();
   std::printf("  wall-clock geomean speedup: %.2fx\n", geomean);
   json << "],\n    \"geomean_speedup\": " << geomean << "\n  },\n";
@@ -391,7 +377,6 @@ void RunPerQueryWallClock(const ssb::Database& db,
   auto make_engine = [&](bool encoded) {
     EngineConfig config = BaseConfig(encoded);
     config.executor = ExecutorKind::kMorselStealing;
-    config.vectorized = true;
     return std::make_unique<SsbEngine>(&db, &model, config);
   };
   auto raw_engine = make_engine(false);
@@ -428,8 +413,8 @@ void RunPerQueryWallClock(const ssb::Database& db,
   }
   table.Print();
   std::printf("  per-query wall-clock geomean: %.2fx (informational)\n",
-              Geomean(speedups));
-  json << "],\n  \"wallclock_query_geomean\": " << Geomean(speedups)
+              GeoMean(speedups));
+  json << "],\n  \"wallclock_query_geomean\": " << GeoMean(speedups)
        << ",\n";
   Claim(all_verified,
         "all wall-clock runs stayed bit-identical to the reference");
@@ -512,9 +497,9 @@ int main(int argc, char** argv) {
   RunWallClockScan(json);
   RunPerQueryWallClock(db.value(), model, reference, json);
   RunEncodeThroughput(columns, encoded, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
+  json << "  \"claims_failed\": " << ClaimsFailed() << "\n}\n";
   json.close();
   std::printf("\nwrote BENCH_compression.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+              ClaimsFailed());
+  return ClaimsFailed() == 0 ? 0 : 1;
 }

@@ -20,13 +20,13 @@
 //      boundaries snap and the penalty vanishes.
 //   4. Determinism: two completely fresh governed runs over the same trace
 //      produce byte-identical actuator logs.
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "engine/engine.h"
 #include "governor/governor.h"
 #include "ssb/reference.h"
@@ -36,13 +36,6 @@ using namespace pmemolap::bench;
 using ssb::QueryId;
 
 namespace {
-
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
 
 std::string F3(double v) {
   char buffer[32];
@@ -101,7 +94,7 @@ SweepResult RunSweep(const ssb::Database& db, const MemSystemModel& model,
   Status prepared = engine.Prepare();
   if (!prepared.ok()) {
     std::printf("  Prepare failed: %s\n", prepared.ToString().c_str());
-    ++g_failures;
+    CountFailure();
     return result;
   }
   for (QueryId query : ssb::AllQueries()) {
@@ -113,7 +106,7 @@ SweepResult RunSweep(const ssb::Database& db, const MemSystemModel& model,
           std::printf("  warmup %s failed: %s\n",
                       ssb::QueryName(query).c_str(),
                       run.status().ToString().c_str());
-          ++g_failures;
+          CountFailure();
           return result;
         }
       }
@@ -128,20 +121,13 @@ SweepResult RunSweep(const ssb::Database& db, const MemSystemModel& model,
     if (!run.ok()) {
       std::printf("  %s failed: %s\n", ssb::QueryName(query).c_str(),
                   run.status().ToString().c_str());
-      ++g_failures;
+      CountFailure();
       return result;
     }
     result.seconds.push_back(run->seconds);
     if (run->output == reference.Execute(query)) ++result.verified;
   }
   return result;
-}
-
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 void PrintSweepTable(const SweepResult& fixed, const SweepResult& governed) {
@@ -204,7 +190,7 @@ void RunPureRead(const ssb::Database& db, const MemSystemModel& model,
   }
   PrintSweepTable(fixed, governed);
   const std::vector<double> speedups = Speedups(fixed, governed);
-  const double geomean = Geomean(speedups);
+  const double geomean = GeoMean(speedups);
   std::printf("  geomean speedup: %.3fx; staged: %s\n", geomean,
               governed.staged.empty() ? "-" : governed.staged.c_str());
 
@@ -241,7 +227,7 @@ void RunMixed(const ssb::Database& db, const MemSystemModel& model,
   }
   PrintSweepTable(fixed, governed);
   const std::vector<double> speedups = Speedups(fixed, governed);
-  const double geomean = Geomean(speedups);
+  const double geomean = GeoMean(speedups);
   std::printf("  geomean speedup: %.3fx; staged: %s\n", geomean,
               governed.staged.empty() ? "-" : governed.staged.c_str());
 
@@ -280,13 +266,13 @@ void RunShapingAblation(const ssb::Database& db, const MemSystemModel& model,
     Status prepared = engine.Prepare();
     if (!prepared.ok()) {
       std::printf("  Prepare failed: %s\n", prepared.ToString().c_str());
-      ++g_failures;
+      CountFailure();
       return 0.0;
     }
     Result<SsbEngine::QueryRun> run = engine.Execute(query);
     if (!run.ok() || !(run->output == reference.Execute(query))) {
       std::printf("  %s failed or diverged\n", ssb::QueryName(query).c_str());
-      ++g_failures;
+      CountFailure();
       return 0.0;
     }
     return run->seconds;
@@ -383,9 +369,9 @@ int main(int argc, char** argv) {
   RunMixed(db.value(), model, reference, json);
   RunShapingAblation(db.value(), model, reference, json);
   RunDeterminism(db.value(), model, reference, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
+  json << "  \"claims_failed\": " << ClaimsFailed() << "\n}\n";
   json.close();
   std::printf("\nwrote BENCH_governor.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+              ClaimsFailed());
+  return ClaimsFailed() == 0 ? 0 : 1;
 }

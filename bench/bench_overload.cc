@@ -37,13 +37,6 @@ using ssb::QueryId;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
 std::string U64(uint64_t v) {
   return std::to_string(static_cast<unsigned long long>(v));
 }
@@ -215,7 +208,7 @@ void RunAdmissionBurst(const ssb::Database& db,
   Status prepared = engine.Prepare();
   if (!prepared.ok()) {
     std::printf("  Prepare failed: %s\n", prepared.ToString().c_str());
-    ++g_failures;
+    CountFailure();
     return;
   }
   const double degradation = qos::DegradationEstimate(injector);
@@ -227,7 +220,7 @@ void RunAdmissionBurst(const ssb::Database& db,
       gate.TryAdmit(qos::QueryPriority::kHigh);
   if (!holder.ok()) {
     std::printf("  holder admission failed\n");
-    ++g_failures;
+    CountFailure();
     return;
   }
   int sheds = 0;
@@ -312,7 +305,7 @@ void RunDeadlineDemo(const ssb::Database& db, std::ofstream& json) {
   Status prepared = engine.Prepare();
   if (!prepared.ok()) {
     std::printf("  Prepare failed: %s\n", prepared.ToString().c_str());
-    ++g_failures;
+    CountFailure();
     return;
   }
 
@@ -388,9 +381,9 @@ int main(int argc, char** argv) {
   RunBreakerComparison(db.value(), reference, reps, json);
   RunAdmissionBurst(db.value(), reference, json);
   RunDeadlineDemo(db.value(), json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
+  json << "  \"claims_failed\": " << ClaimsFailed() << "\n}\n";
   json.close();
   std::printf("\nwrote BENCH_overload.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+              ClaimsFailed());
+  return ClaimsFailed() == 0 ? 0 : 1;
 }

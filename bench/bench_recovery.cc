@@ -20,13 +20,13 @@
 //      durable engine answers every query at the same modeled cost as
 //      the in-memory engine; a standing ingest's log writes price into
 //      query runtimes. All runs bit-identical to the reference.
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "durability/crash_injector.h"
 #include "durability/durable_table.h"
 #include "durability/recovery.h"
@@ -39,13 +39,6 @@ using namespace pmemolap::bench;
 using ssb::QueryId;
 
 namespace {
-
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
 
 std::string F3(double v) {
   char buffer[32];
@@ -74,13 +67,13 @@ double IngestSeconds(bool ntstore_log, int epochs, uint64_t epoch_bytes) {
   options.ntstore_log = ntstore_log;
   auto table = DurableTable::Create(&space, nullptr, options);
   if (!table.ok()) {
-    ++g_failures;
+    CountFailure();
     return 0.0;
   }
   for (int e = 1; e <= epochs; ++e) {
     std::vector<std::byte> payload = PatternBytes(epoch_bytes, e);
     if (!(*table)->Append(payload.data(), payload.size()).ok()) {
-      ++g_failures;
+      CountFailure();
       return 0.0;
     }
   }
@@ -141,13 +134,13 @@ void RunRecoveryScaling(std::ofstream& json) {
     options.log_bytes = 32 * kMiB;
     auto durable = DurableTable::Create(&space, nullptr, options);
     if (!durable.ok()) {
-      ++g_failures;
+      CountFailure();
       return;
     }
     for (int e = 1; e <= epochs; ++e) {
       std::vector<std::byte> payload = PatternBytes(epoch_bytes, e);
       if (!(*durable)->Append(payload.data(), payload.size()).ok()) {
-        ++g_failures;
+        CountFailure();
         return;
       }
     }
@@ -337,7 +330,7 @@ SsbSweep RunSsb(const ssb::Database& db, const MemSystemModel& model,
   SsbEngine engine(&db, &model, config);
   SsbSweep sweep;
   if (!engine.Prepare().ok()) {
-    ++g_failures;
+    CountFailure();
     return sweep;
   }
   if (durable != nullptr) {
@@ -347,7 +340,7 @@ SsbSweep RunSsb(const ssb::Database& db, const MemSystemModel& model,
     for (uint64_t offset = 0; offset < total; offset += batch) {
       uint64_t count = std::min(batch, total - offset);
       if (!engine.Ingest(db.lineorder.data() + offset, count).ok()) {
-        ++g_failures;
+        CountFailure();
         return sweep;
       }
     }
@@ -356,26 +349,19 @@ SsbSweep RunSsb(const ssb::Database& db, const MemSystemModel& model,
     // Two warmups commit the governor's hysteresis per query.
     for (int warmup = 0; warmup < 2; ++warmup) {
       if (!engine.Execute(query).ok()) {
-        ++g_failures;
+        CountFailure();
         return sweep;
       }
     }
     Result<SsbEngine::QueryRun> run = engine.Execute(query);
     if (!run.ok()) {
-      ++g_failures;
+      CountFailure();
       return sweep;
     }
     sweep.seconds.push_back(run->seconds);
     if (run->output == reference.Execute(query)) ++sweep.verified;
   }
   return sweep;
-}
-
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 void RunSsbTax(const ssb::Database& db, const MemSystemModel& model,
@@ -458,9 +444,9 @@ void RunSsbTax(const ssb::Database& db, const MemSystemModel& model,
   }
 
   TablePrinter table({"Config", "Geomean [s]", "Verified"});
-  const double g_off = Geomean(off.seconds);
-  const double g_idle = Geomean(on_idle.seconds);
-  const double g_busy = Geomean(on_ingest.seconds);
+  const double g_off = GeoMean(off.seconds);
+  const double g_idle = GeoMean(on_idle.seconds);
+  const double g_busy = GeoMean(on_ingest.seconds);
   table.AddRow({"durability off", F3(g_off),
                 std::to_string(off.verified) + "/13"});
   table.AddRow({"durable, ingest quiescent", F3(g_idle),
@@ -519,9 +505,9 @@ int main(int argc, char** argv) {
   RunRecoveryScaling(json);
   RunCrashSweep(json);
   RunSsbTax(db.value(), model, reference, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
+  json << "  \"claims_failed\": " << ClaimsFailed() << "\n}\n";
   json.close();
   std::printf("\nwrote BENCH_recovery.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+              ClaimsFailed());
+  return ClaimsFailed() == 0 ? 0 : 1;
 }

@@ -45,13 +45,6 @@ using namespace pmemolap::service;
 
 namespace {
 
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
-
 std::string U64(uint64_t v) {
   return std::to_string(static_cast<unsigned long long>(v));
 }
@@ -483,9 +476,9 @@ int main(int argc, char** argv) {
   RunFaultStorm(db.value(), model, chaos_clients, horizon, json);
   RunCrashCampaign(db.value(), model, chaos_clients, horizon, json);
   RunWriteKnee(db.value(), model, chaos_clients, horizon, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
+  json << "  \"claims_failed\": " << ClaimsFailed() << "\n}\n";
   json.close();
   std::printf("\nwrote BENCH_service.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+              ClaimsFailed());
+  return ClaimsFailed() == 0 ? 0 : 1;
 }

@@ -24,13 +24,13 @@
 //      scales every traffic byte uniformly, so the placement win holds.
 //   4. Determinism: two completely fresh closed-loop runs over the same
 //      schedule produce byte-identical actuator logs.
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "engine/engine.h"
@@ -42,13 +42,6 @@ using namespace pmemolap::bench;
 using ssb::QueryId;
 
 namespace {
-
-int g_failures = 0;
-
-void Claim(bool ok, const std::string& text) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
-  if (!ok) ++g_failures;
-}
 
 std::string F3(double v) {
   char buffer[32];
@@ -160,7 +153,7 @@ ScheduleResult RunSchedule(const ssb::Database& db,
   Status prepared = engine.Prepare();
   if (!prepared.ok()) {
     std::printf("  Prepare failed: %s\n", prepared.ToString().c_str());
-    ++g_failures;
+    CountFailure();
     result.ok = false;
     return result;
   }
@@ -174,7 +167,7 @@ ScheduleResult RunSchedule(const ssb::Database& db,
       std::printf("  entry %zu (%s) failed: %s\n", i,
                   ssb::QueryName(entry.query).c_str(),
                   run.status().ToString().c_str());
-      ++g_failures;
+      CountFailure();
       result.ok = false;
       return result;
     }
@@ -192,13 +185,6 @@ ScheduleResult RunSchedule(const ssb::Database& db,
   return result;
 }
 
-double Geomean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) log_sum += std::log(v);
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 /// Paired per-entry geomean speedup of `slow` over `fast`.
 double GeomeanSpeedup(const ScheduleResult& slow,
                       const ScheduleResult& fast) {
@@ -207,7 +193,7 @@ double GeomeanSpeedup(const ScheduleResult& slow,
        i < slow.seconds.size() && i < fast.seconds.size(); ++i) {
     speedups.push_back(slow.seconds[i] / fast.seconds[i]);
   }
-  return Geomean(speedups);
+  return GeoMean(speedups);
 }
 
 /// Fraction of measured Zipf mass resident off-SSD in the final
@@ -347,7 +333,7 @@ void RunIdentity(const ssb::Database& db, const MemSystemModel& model,
     Result<SsbEngine::QueryRun> c = witness.Execute(query);
     if (!a.ok() || !b.ok() || !c.ok()) {
       std::printf("  %s failed\n", ssb::QueryName(query).c_str());
-      ++g_failures;
+      CountFailure();
       return;
     }
     const ssb::QueryOutput expected = reference.Execute(query);
@@ -466,9 +452,9 @@ int main(int argc, char** argv) {
   RunIdentity(db.value(), model, reference, json);
   RunSf100(db.value(), model, schedule, json);
   RunDeterminism(db.value(), model, schedule, json);
-  json << "  \"claims_failed\": " << g_failures << "\n}\n";
+  json << "  \"claims_failed\": " << ClaimsFailed() << "\n}\n";
   json.close();
   std::printf("\nwrote BENCH_tiering.json (%d claim(s) failed)\n",
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+              ClaimsFailed());
+  return ClaimsFailed() == 0 ? 0 : 1;
 }

@@ -4,6 +4,19 @@
 
 namespace pmemolap::bench {
 
+namespace {
+int g_failures = 0;
+}  // namespace
+
+void Claim(bool ok, const std::string& text) {
+  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", text.c_str());
+  if (!ok) CountFailure();
+}
+
+void CountFailure() { ++g_failures; }
+
+int ClaimsFailed() { return g_failures; }
+
 void PrintHeader(const std::string& experiment, const std::string& paper_ref,
                  const std::string& expectation) {
   std::printf("==============================================================\n");

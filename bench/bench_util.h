@@ -32,6 +32,18 @@ inline const std::vector<int>& WriteThreadCounts() {
   return kCounts;
 }
 
+/// Scorecard line of the self-checking benches: prints "[PASS] text" or
+/// "[FAIL] text" and counts the failures.
+void Claim(bool ok, const std::string& text);
+
+/// Counts a failure that has no scorecard line of its own (a step that
+/// could not run; the caller prints why).
+void CountFailure();
+
+/// Claims and counted failures so far in this process; a bench reports it
+/// as "claims_failed" and exits nonzero when it is not 0.
+int ClaimsFailed();
+
 /// Renders a (size x threads) bandwidth grid: one row per access size, one
 /// column per thread count.
 void PrintBandwidthGrid(const WorkloadRunner& runner, OpType op,

@@ -1,26 +1,22 @@
-// Wall-clock SSB: real host execution time of the 13 queries under every
-// executor x kernel combination — unlike the figure benches, which report
-// the *modeled* PMEM runtime, this measures what the host CPU actually
-// spends executing the queries functionally.
+// Wall-clock SSB: real host execution time of the 13 queries on both
+// executors — unlike the figure benches, which report the *modeled* PMEM
+// runtime, this measures what the host CPU actually spends executing the
+// queries functionally.
 //
-//   executors: serial | morsel-stealing (persistent pool)
-//   kernels:   scalar (row-at-a-time interpreter) | vectorized (columnar
-//              selection vectors + batched probes + flat aggregation)
+//   executors: serial | morsel-stealing (persistent pool), both on the
+//              vectorized kernels (columnar selection vectors + batched
+//              probes + flat aggregation)
 //
 // Every run is verified against ssb::ReferenceExecutor, including a
-// moderate-fault-preset pass through the same morsel dispatch. Each
-// headline changes one axis only: the executor speedup compares
-// morsel-vectorized with serial-vectorized (same kernels), the kernel
-// speedup compares morsel-vectorized with morsel-scalar (same executor).
-// Both are geomeans over the 13 queries of best-of-reps times; the
-// per-query best, median and min-max over reps go to
-// BENCH_wallclock_ssb.json.
+// moderate-fault-preset pass through the same morsel dispatch. The
+// headline executor speedup is morsel over serial: the geomean over the
+// 13 queries of best-of-reps times; the per-query best, median and
+// min-max over reps go to BENCH_wallclock_ssb.json.
 //
 // Flags: --smoke (sf 0.02, 1 rep — the CI configuration), --sf=<double>,
 //        --threads=<int>, --morsel=<tuples>, --reps=<int>.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "engine/engine.h"
 #include "fault/fault_domain.h"
 #include "ssb/reference.h"
@@ -46,20 +43,15 @@ namespace {
 struct Mode {
   const char* name;
   ExecutorKind executor;
-  bool vectorized;
 };
 
 constexpr Mode kModes[] = {
-    {"serial-scalar", ExecutorKind::kSerial, false},
-    {"serial-vectorized", ExecutorKind::kSerial, true},
-    {"morsel-scalar", ExecutorKind::kMorselStealing, false},
-    {"morsel-vectorized", ExecutorKind::kMorselStealing, true},
+    {"serial", ExecutorKind::kSerial},
+    {"morsel", ExecutorKind::kMorselStealing},
 };
-constexpr const char* kContender = "morsel-vectorized";
+constexpr const char* kContender = "morsel";
 /// Same kernels, other executor: isolates the executor effect.
-constexpr const char* kExecutorBaseline = "serial-vectorized";
-/// Same executor, other kernels: isolates the kernel effect.
-constexpr const char* kKernelBaseline = "morsel-scalar";
+constexpr const char* kExecutorBaseline = "serial";
 
 /// Wall-clock spread of one query in one mode over the reps.
 struct Timing {
@@ -145,10 +137,9 @@ int main(int argc, char** argv) {
   }
   reps = std::max(reps, 1);
 
-  PrintHeader("Wall-clock SSB: executor x kernel matrix",
+  PrintHeader("Wall-clock SSB: serial vs morsel-stealing executor",
               "execution layer (morsel-driven pool + vectorized kernels)",
-              "13/13 verified in every mode; executor and kernel "
-              "speedups reported separately");
+              "13/13 verified in both modes; executor speedup reported");
   std::printf("sf %.3g, %d threads, %llu-tuple morsels, best of %d reps\n\n",
               sf, threads, static_cast<unsigned long long>(morsel_tuples),
               reps);
@@ -168,7 +159,6 @@ int main(int argc, char** argv) {
     config.media = Media::kPmem;
     config.threads = threads;
     config.executor = mode.executor;
-    config.vectorized = mode.vectorized;
     config.morsel_tuples = morsel_tuples;
     engines.push_back(std::make_unique<SsbEngine>(&*db, &model, config));
     if (!engines.back()->Prepare().ok()) {
@@ -180,16 +170,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> columns = {"Query"};
   for (const Mode& mode : kModes) columns.push_back(mode.name);
   columns.push_back("Executor x");
-  columns.push_back("Kernel x");
   columns.push_back("Results");
   TablePrinter table(columns);
 
   // queries x modes -> wall-clock spread over the reps.
   std::map<std::string, std::map<std::string, Timing>> timings;
   bool all_verified = true;
-  double log_executor_sum = 0.0;
-  double log_kernel_sum = 0.0;
-  int query_count = 0;
+  std::vector<double> executor_speedups;
   for (QueryId query : ssb::AllQueries()) {
     const std::string name = ssb::QueryName(query);
     std::vector<std::string> row = {name};
@@ -207,25 +194,17 @@ int main(int argc, char** argv) {
     const double contender = timings[name][kContender].best;
     const double executor_speedup =
         timings[name][kExecutorBaseline].best / contender;
-    const double kernel_speedup =
-        timings[name][kKernelBaseline].best / contender;
-    log_executor_sum += std::log(executor_speedup);
-    log_kernel_sum += std::log(kernel_speedup);
-    ++query_count;
+    executor_speedups.push_back(executor_speedup);
     all_verified = all_verified && verified;
     row.push_back(TablePrinter::Cell(executor_speedup, 2));
-    row.push_back(TablePrinter::Cell(kernel_speedup, 2));
     row.push_back(verified ? "verified" : "MISMATCH");
     table.AddRow(row);
   }
   table.Print();
 
-  const double executor_geomean = std::exp(log_executor_sum / query_count);
-  const double kernel_geomean = std::exp(log_kernel_sum / query_count);
+  const double executor_geomean = GeoMean(executor_speedups);
   std::printf("\ngeomean executor speedup %s vs %s: %.2fx\n", kContender,
               kExecutorBaseline, executor_geomean);
-  std::printf("geomean kernel speedup %s vs %s: %.2fx\n", kContender,
-              kKernelBaseline, kernel_geomean);
 
   const bool fault_ok = FaultMorselCheck(*db, reference, threads);
   std::printf("moderate-fault morsel check: %s\n",
@@ -240,7 +219,6 @@ int main(int argc, char** argv) {
        << "  \"repetitions\": " << reps << ",\n"
        << "  \"contender\": \"" << kContender << "\",\n"
        << "  \"executor_baseline\": \"" << kExecutorBaseline << "\",\n"
-       << "  \"kernel_baseline\": \"" << kKernelBaseline << "\",\n"
        << "  \"queries\": [\n";
   bool first = true;
   for (const auto& [query, by_mode] : timings) {
@@ -255,13 +233,10 @@ int main(int argc, char** argv) {
     }
     const double contender = by_mode.at(kContender).best;
     json << ", \"executor_speedup\": "
-         << by_mode.at(kExecutorBaseline).best / contender
-         << ", \"kernel_speedup\": "
-         << by_mode.at(kKernelBaseline).best / contender << "}";
+         << by_mode.at(kExecutorBaseline).best / contender << "}";
   }
   json << "\n  ],\n"
        << "  \"executor_geomean_speedup\": " << executor_geomean << ",\n"
-       << "  \"kernel_geomean_speedup\": " << kernel_geomean << ",\n"
        << "  \"all_verified\": " << (all_verified ? "true" : "false") << ",\n"
        << "  \"fault_morsel_verified\": " << (fault_ok ? "true" : "false")
        << "\n}\n";

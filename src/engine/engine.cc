@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <numeric>
 
 #include "encoding/encoding.h"
 #include "governor/telemetry.h"
@@ -10,16 +11,6 @@
 namespace pmemolap {
 
 using ssb::QueryId;
-
-namespace {
-
-constexpr int kUnitedStates = 9;
-constexpr int kUnitedKingdom = 19;
-constexpr int kRegionAmerica = 1;
-constexpr int kRegionAsia = 2;
-constexpr int kRegionEurope = 3;
-
-}  // namespace
 
 const char* EngineModeName(EngineMode mode) {
   switch (mode) {
@@ -114,100 +105,85 @@ Status SsbEngine::Prepare() {
                          config_.numa_aware_placement
                      ? sockets_used
                      : 1;
-  // In fault mode the indexes map keys to dense positions; the payloads
-  // themselves live in guarded per-socket replicas built below, so every
-  // probe goes through the poison-aware failover path.
-  const bool guarded = config_.fault != nullptr;
-  auto build = [&](ReplicatedIndex* index, auto&& fill) -> Status {
-    index->copies.clear();
-    for (int r = 0; r < replicas; ++r) {
-      index->copies.push_back(std::make_unique<DimensionIndex>(kind));
-      PMEMOLAP_RETURN_NOT_OK(fill(index->copies.back().get()));
-    }
-    return Status::OK();
-  };
-  PMEMOLAP_RETURN_NOT_OK(build(&date_index_, [&](DimensionIndex* index) {
-    uint64_t pos = 0;
-    for (const ssb::DateRow& d : db_->date) {
-      PMEMOLAP_RETURN_NOT_OK(index->Insert(
-          static_cast<uint64_t>(d.datekey),
-          guarded ? pos++ : EncodeDate(d)));
-    }
-    return Status::OK();
-  }));
-  PMEMOLAP_RETURN_NOT_OK(
-      build(&customer_index_, [&](DimensionIndex* index) {
-        uint64_t pos = 0;
-        for (const ssb::CustomerRow& c : db_->customer) {
-          PMEMOLAP_RETURN_NOT_OK(index->Insert(
-              static_cast<uint64_t>(c.custkey),
-              guarded ? pos++ : EncodeGeo(c.nation, c.region, c.city)));
-        }
-        return Status::OK();
-      }));
-  PMEMOLAP_RETURN_NOT_OK(
-      build(&supplier_index_, [&](DimensionIndex* index) {
-        uint64_t pos = 0;
-        for (const ssb::SupplierRow& s : db_->supplier) {
-          PMEMOLAP_RETURN_NOT_OK(index->Insert(
-              static_cast<uint64_t>(s.suppkey),
-              guarded ? pos++ : EncodeGeo(s.nation, s.region, s.city)));
-        }
-        return Status::OK();
-      }));
-  PMEMOLAP_RETURN_NOT_OK(build(&part_index_, [&](DimensionIndex* index) {
-    uint64_t pos = 0;
-    for (const ssb::PartRow& p : db_->part) {
-      PMEMOLAP_RETURN_NOT_OK(index->Insert(
-          static_cast<uint64_t>(p.partkey),
-          guarded ? pos++ : EncodePart(p)));
-    }
-    return Status::OK();
-  }));
   guarded_fact_.reset();
   guarded_date_.reset();
   guarded_customer_.reset();
   guarded_supplier_.reset();
   guarded_part_.reset();
+  const bool guarded = config_.fault != nullptr;
+  PmemSpace* space = guarded ? config_.fault->space : nullptr;
+  FaultInjector* injector = guarded ? config_.fault->injector : nullptr;
+  if (guarded && (space == nullptr || injector == nullptr)) {
+    return Status::InvalidArgument(
+        "fault domain needs a space and an injector");
+  }
+  // Each dimension's keys and encoded payloads feed three structures: the
+  // Dash/chained index replicas, which price the probes (StorageBytes,
+  // probe_cost); the dense map the kernels probe; and, in fault mode, the
+  // guarded per-socket payload replicas. There the dense map holds
+  // positions into those replicas instead of payloads, so every probe
+  // stage goes through the poison-aware failover path.
+  std::vector<int32_t> keys;
+  std::vector<uint64_t> payloads;
+  auto reset = [&](size_t n) {
+    keys.clear();
+    payloads.clear();
+    keys.reserve(n);
+    payloads.reserve(n);
+  };
+  auto build_dimension =
+      [&](ReplicatedIndex* index, DenseDimMap* dense,
+          std::unique_ptr<GuardedDimension>* guarded_dim) -> Status {
+    index->copies.clear();
+    for (int r = 0; r < replicas; ++r) {
+      index->copies.push_back(std::make_unique<DimensionIndex>(kind));
+      for (size_t i = 0; i < keys.size(); ++i) {
+        PMEMOLAP_RETURN_NOT_OK(index->copies.back()->Insert(
+            static_cast<uint64_t>(keys[i]), payloads[i]));
+      }
+    }
+    if (!guarded) {
+      dense->Build(keys, payloads);
+      return Status::OK();
+    }
+    std::vector<uint64_t> positions(payloads.size());
+    std::iota(positions.begin(), positions.end(), uint64_t{0});
+    dense->Build(keys, positions);
+    PMEMOLAP_ASSIGN_OR_RETURN(
+        *guarded_dim, GuardedDimension::Create(space, injector,
+                                               std::move(payloads),
+                                               config_.media));
+    return Status::OK();
+  };
+  reset(db_->date.size());
+  for (const ssb::DateRow& d : db_->date) {
+    keys.push_back(d.datekey);
+    payloads.push_back(EncodeDate(d));
+  }
+  PMEMOLAP_RETURN_NOT_OK(
+      build_dimension(&date_index_, &date_dense_, &guarded_date_));
+  reset(db_->customer.size());
+  for (const ssb::CustomerRow& c : db_->customer) {
+    keys.push_back(c.custkey);
+    payloads.push_back(EncodeGeo(c.nation, c.region, c.city));
+  }
+  PMEMOLAP_RETURN_NOT_OK(build_dimension(&customer_index_, &customer_dense_,
+                                         &guarded_customer_));
+  reset(db_->supplier.size());
+  for (const ssb::SupplierRow& s : db_->supplier) {
+    keys.push_back(s.suppkey);
+    payloads.push_back(EncodeGeo(s.nation, s.region, s.city));
+  }
+  PMEMOLAP_RETURN_NOT_OK(build_dimension(&supplier_index_, &supplier_dense_,
+                                         &guarded_supplier_));
+  reset(db_->part.size());
+  for (const ssb::PartRow& p : db_->part) {
+    keys.push_back(p.partkey);
+    payloads.push_back(EncodePart(p));
+  }
+  PMEMOLAP_RETURN_NOT_OK(
+      build_dimension(&part_index_, &part_dense_, &guarded_part_));
   if (guarded) {
-    PmemSpace* space = config_.fault->space;
-    FaultInjector* injector = config_.fault->injector;
-    if (space == nullptr || injector == nullptr) {
-      return Status::InvalidArgument(
-          "fault domain needs a space and an injector");
-    }
-    auto guard_dimension = [&](std::vector<uint64_t> payloads) {
-      return GuardedDimension::Create(space, injector, std::move(payloads),
-                                      config_.media);
-    };
-    std::vector<uint64_t> payloads;
-    payloads.reserve(db_->date.size());
-    for (const ssb::DateRow& d : db_->date) {
-      payloads.push_back(EncodeDate(d));
-    }
-    PMEMOLAP_ASSIGN_OR_RETURN(guarded_date_,
-                              guard_dimension(std::move(payloads)));
-    payloads.clear();
-    payloads.reserve(db_->customer.size());
-    for (const ssb::CustomerRow& c : db_->customer) {
-      payloads.push_back(EncodeGeo(c.nation, c.region, c.city));
-    }
-    PMEMOLAP_ASSIGN_OR_RETURN(guarded_customer_,
-                              guard_dimension(std::move(payloads)));
-    payloads.clear();
-    payloads.reserve(db_->supplier.size());
-    for (const ssb::SupplierRow& s : db_->supplier) {
-      payloads.push_back(EncodeGeo(s.nation, s.region, s.city));
-    }
-    PMEMOLAP_ASSIGN_OR_RETURN(guarded_supplier_,
-                              guard_dimension(std::move(payloads)));
-    payloads.clear();
-    payloads.reserve(db_->part.size());
-    for (const ssb::PartRow& p : db_->part) {
-      payloads.push_back(EncodePart(p));
-    }
-    PMEMOLAP_ASSIGN_OR_RETURN(guarded_part_,
-                              guard_dimension(std::move(payloads)));
     // The fact table's byte image, striped and CRC-chunked; db_ stays the
     // repair source (the stand-in for reloading from primary storage).
     PMEMOLAP_ASSIGN_OR_RETURN(
@@ -248,56 +224,13 @@ Status SsbEngine::Prepare() {
     all.tuples = {0, db_->lineorder.size()};
     partitions_ = {std::move(all)};
   }
-  // Host-execution structures: the columnar projection + dense date map
-  // for the vectorized kernels (fault mode always reads through the
-  // guarded scalar path), and the persistent work-stealing pool. The
-  // encoded store is built even when `vectorized` is off: modeled scan
-  // pricing must be a function of the config alone, identical across all
-  // executor modes, so the scalar path prices encoded scans too. Durable
-  // queries answer from the durable image, so durable mode builds the
-  // dense maps but no projection of db_->lineorder.
+  // The columnar projection the kernels scan in place, and its encoded
+  // view. Fault and durable queries read the guarded or durable row image
+  // block by block instead, so they build neither.
   encoded_ = ssb::EncodedColumnStore();
-  if ((config_.vectorized || config_.encoding) && !guarded) {
-    if (config_.durable == nullptr) {
-      columns_ = ssb::ColumnStore(db_->lineorder);
-      if (config_.encoding) encoded_ = ssb::EncodedColumnStore(columns_);
-    }
-    date_dense_.Build(db_->date);
-    std::vector<int32_t> keys;
-    std::vector<uint64_t> payloads;
-    auto reset = [&](size_t n) {
-      keys.clear();
-      payloads.clear();
-      keys.reserve(n);
-      payloads.reserve(n);
-    };
-    reset(db_->customer.size());
-    for (const ssb::CustomerRow& c : db_->customer) {
-      keys.push_back(c.custkey);
-      payloads.push_back(EncodeGeo(c.nation, c.region, c.city));
-    }
-    customer_dense_.Build(keys, payloads);
-    reset(db_->supplier.size());
-    for (const ssb::SupplierRow& s : db_->supplier) {
-      keys.push_back(s.suppkey);
-      payloads.push_back(EncodeGeo(s.nation, s.region, s.city));
-    }
-    supplier_dense_.Build(keys, payloads);
-    reset(db_->part.size());
-    for (const ssb::PartRow& p : db_->part) {
-      keys.push_back(p.partkey);
-      payloads.push_back(EncodePart(p));
-    }
-    part_dense_.Build(keys, payloads);
-    if (config_.governor != nullptr) {
-      // Payload-identical DRAM replicas for the staging actuator: probing
-      // a staged copy returns the same values as the base map, so results
-      // never depend on the governor's staging state.
-      date_staged_ = date_dense_;
-      customer_staged_ = customer_dense_;
-      supplier_staged_ = supplier_dense_;
-      part_staged_ = part_dense_;
-    }
+  if (!guarded && config_.durable == nullptr) {
+    columns_ = ssb::ColumnStore(db_->lineorder);
+    if (config_.encoding) encoded_ = ssb::EncodedColumnStore(columns_);
   }
   pool_.reset();
   if (config_.executor == ExecutorKind::kMorselStealing) {
@@ -309,213 +242,6 @@ Status SsbEngine::Prepare() {
         static_cast<int>(partitions_.size()));
   }
   prepared_ = true;
-  return Status::OK();
-}
-
-Status SsbEngine::ExecuteRange(QueryId query, int socket,
-                               const TupleRange& range,
-                               uint64_t snapshot_epoch, ssb::QueryOutput* out,
-                               ProbeCounters* probes, uint64_t* qualifying,
-                               const CancelCheck& cancel) const {
-  const bool guarded = guarded_fact_ != nullptr;
-  const bool durable = config_.durable != nullptr;
-  // Probe lambdas stay infallible for the 13-query switch below; a fault
-  // that survives failover and repair is parked in `fault_status` and
-  // aborts the range at the end of the row.
-  Status fault_status = Status::OK();
-  auto lookup = [&](const ReplicatedIndex& index, GuardedDimension* dim,
-                    int32_t key) -> uint64_t {
-    uint64_t value = *index.Near(socket).Get(static_cast<uint64_t>(key));
-    if (dim == nullptr) return value;
-    Result<uint64_t> payload = dim->Payload(socket, value);
-    if (!payload.ok()) {
-      if (fault_status.ok()) fault_status = payload.status();
-      return 0;
-    }
-    return payload.value();
-  };
-  auto probe_date = [&](int32_t datekey) {
-    ++probes->date;
-    return DecodeDate(lookup(date_index_, guarded_date_.get(), datekey));
-  };
-  auto probe_customer = [&](int32_t custkey) {
-    ++probes->customer;
-    return DecodeGeo(
-        lookup(customer_index_, guarded_customer_.get(), custkey));
-  };
-  auto probe_supplier = [&](int32_t suppkey) {
-    ++probes->supplier;
-    return DecodeGeo(
-        lookup(supplier_index_, guarded_supplier_.get(), suppkey));
-  };
-  auto probe_part = [&](int32_t partkey) {
-    ++probes->part;
-    return DecodePart(lookup(part_index_, guarded_part_.get(), partkey));
-  };
-
-  ssb::LineorderRow scratch{};
-  for (uint64_t i = range.begin; i < range.end; ++i) {
-    if (guarded) {
-      // The row comes off the guarded PMEM image — retried, scrubbed or
-      // repaired as needed — not out of the in-DRAM source vector.
-      PMEMOLAP_RETURN_NOT_OK(guarded_fact_->Read(
-          i * sizeof(ssb::LineorderRow), sizeof(ssb::LineorderRow),
-          reinterpret_cast<std::byte*>(&scratch), cancel));
-    } else if (durable) {
-      // Durable mode: the row is served from the pinned committed
-      // snapshot — ranges were clamped to it, so the read cannot run
-      // past the epoch's bytes even while ingest keeps committing.
-      PMEMOLAP_RETURN_NOT_OK(config_.durable->ReadSnapshot(
-          snapshot_epoch, i * sizeof(ssb::LineorderRow),
-          sizeof(ssb::LineorderRow),
-          reinterpret_cast<std::byte*>(&scratch)));
-    }
-    const ssb::LineorderRow& lo =
-        guarded || durable ? scratch : db_->lineorder[i];
-    switch (query) {
-      // --- Flight 1: cheap tuple filters first, then one date probe --------
-      case QueryId::kQ1_1: {
-        out->scalar = true;
-        if (lo.discount < 1 || lo.discount > 3 || lo.quantity >= 25) break;
-        if (probe_date(lo.orderdate).year != 1993) break;
-        out->value += static_cast<int64_t>(lo.extendedprice) * lo.discount;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ1_2: {
-        out->scalar = true;
-        if (lo.discount < 4 || lo.discount > 6 || lo.quantity < 26 ||
-            lo.quantity > 35) {
-          break;
-        }
-        if (probe_date(lo.orderdate).yearmonthnum != 199401) break;
-        out->value += static_cast<int64_t>(lo.extendedprice) * lo.discount;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ1_3: {
-        out->scalar = true;
-        if (lo.discount < 5 || lo.discount > 7 || lo.quantity < 26 ||
-            lo.quantity > 35) {
-          break;
-        }
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.week != 6 || d.year != 1994) break;
-        out->value += static_cast<int64_t>(lo.extendedprice) * lo.discount;
-        ++*qualifying;
-        break;
-      }
-
-      // --- Flight 2: part (most selective) -> supplier -> date -------------
-      case QueryId::kQ2_1:
-      case QueryId::kQ2_2:
-      case QueryId::kQ2_3: {
-        PartAttrs p = probe_part(lo.partkey);
-        bool part_ok = query == QueryId::kQ2_1
-                           ? p.category_id == 12
-                           : (query == QueryId::kQ2_2
-                                  ? p.brand_id >= 2221 && p.brand_id <= 2228
-                                  : p.brand_id == 2239);
-        if (!part_ok) break;
-        int wanted_region = query == QueryId::kQ2_1   ? kRegionAmerica
-                            : query == QueryId::kQ2_2 ? kRegionAsia
-                                                      : kRegionEurope;
-        if (probe_supplier(lo.suppkey).region != wanted_region) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        out->groups[{d.year, p.brand_id, 0}] += lo.revenue;
-        ++*qualifying;
-        break;
-      }
-
-      // --- Flight 3: customer -> supplier -> date --------------------------
-      case QueryId::kQ3_1: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.region != kRegionAsia) break;
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.region != kRegionAsia) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.year < 1992 || d.year > 1997) break;
-        out->groups[{c.nation, s.nation, d.year}] += lo.revenue;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ3_2: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.nation != kUnitedStates) break;
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.nation != kUnitedStates) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.year < 1992 || d.year > 1997) break;
-        out->groups[{c.city_id, s.city_id, d.year}] += lo.revenue;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ3_3:
-      case QueryId::kQ3_4: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.city_id != ssb::CityId(kUnitedKingdom, 1) &&
-            c.city_id != ssb::CityId(kUnitedKingdom, 5)) {
-          break;
-        }
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.city_id != ssb::CityId(kUnitedKingdom, 1) &&
-            s.city_id != ssb::CityId(kUnitedKingdom, 5)) {
-          break;
-        }
-        DateAttrs d = probe_date(lo.orderdate);
-        if (query == QueryId::kQ3_3) {
-          if (d.year < 1992 || d.year > 1997) break;
-        } else if (d.yearmonthnum != 199712) {
-          break;
-        }
-        out->groups[{c.city_id, s.city_id, d.year}] += lo.revenue;
-        ++*qualifying;
-        break;
-      }
-
-      // --- Flight 4: profit across all dimensions --------------------------
-      case QueryId::kQ4_1: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.region != kRegionAmerica) break;
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.region != kRegionAmerica) break;
-        PartAttrs p = probe_part(lo.partkey);
-        if (p.mfgr != 1 && p.mfgr != 2) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        out->groups[{d.year, c.nation, 0}] +=
-            static_cast<int64_t>(lo.revenue) - lo.supplycost;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ4_2: {
-        GeoAttrs c = probe_customer(lo.custkey);
-        if (c.region != kRegionAmerica) break;
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.region != kRegionAmerica) break;
-        PartAttrs p = probe_part(lo.partkey);
-        if (p.mfgr != 1 && p.mfgr != 2) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.year != 1997 && d.year != 1998) break;
-        out->groups[{d.year, s.nation, p.category_id}] +=
-            static_cast<int64_t>(lo.revenue) - lo.supplycost;
-        ++*qualifying;
-        break;
-      }
-      case QueryId::kQ4_3: {
-        GeoAttrs s = probe_supplier(lo.suppkey);
-        if (s.nation != kUnitedStates) break;
-        PartAttrs p = probe_part(lo.partkey);
-        if (p.category_id != 14) break;
-        DateAttrs d = probe_date(lo.orderdate);
-        if (d.year != 1997 && d.year != 1998) break;
-        out->groups[{d.year, s.city_id, p.brand_id}] +=
-            static_cast<int64_t>(lo.revenue) - lo.supplycost;
-        ++*qualifying;
-        break;
-      }
-    }
-    PMEMOLAP_RETURN_NOT_OK(fault_status);
-  }
   return Status::OK();
 }
 
@@ -736,66 +462,54 @@ void SsbEngine::RecordSocketTraffic(
 }
 
 Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
-                                   const TupleRange& range, bool vectorized,
-                                   uint64_t snapshot_epoch,
-                                   const governor::GovernorDecision* decision,
-                                   WorkerState* state,
+                                   const TupleRange& range,
+                                   uint64_t snapshot_epoch, WorkerState* state,
                                    const CancelCheck& cancel) const {
   if (state->probes.size() < partitions_.size()) {
     state->probes.resize(partitions_.size());
     state->qualifying.resize(partitions_.size(), 0);
   }
-  const SocketPartition& partition = partitions_[slot];
-  if (!vectorized) {
-    return ExecuteRange(query, partition.socket, range, snapshot_epoch,
-                        &state->output, &state->probes[slot],
-                        &state->qualifying[slot], cancel);
-  }
-  // Staged dimensions probe the DRAM replica; the payloads are identical
-  // copies, so eviction (falling back to the base map) cannot change any
-  // query result.
   KernelContext ctx;
   // Decode-on-scan: with encoding on, the kernels read block-decoded
   // frames (and run flight-1 predicates on the encoded data directly)
   // instead of the raw columns. Same values, bit-identical results.
   ctx.encoded =
       config_.encoding && !encoded_.empty() ? &encoded_ : nullptr;
-  ctx.date = decision != nullptr && decision->IsStaged("date")
-                 ? &date_staged_
-                 : &date_dense_;
-  ctx.customer = decision != nullptr && decision->IsStaged("customer")
-                     ? &customer_staged_
-                     : &customer_dense_;
-  ctx.supplier = decision != nullptr && decision->IsStaged("supplier")
-                     ? &supplier_staged_
-                     : &supplier_dense_;
-  ctx.part = decision != nullptr && decision->IsStaged("part")
-                 ? &part_staged_
-                 : &part_dense_;
+  ctx.date = {&date_dense_, guarded_date_.get()};
+  ctx.customer = {&customer_dense_, guarded_customer_.get()};
+  ctx.supplier = {&supplier_dense_, guarded_supplier_.get()};
+  ctx.part = {&part_dense_, guarded_part_.get()};
+  // Guarded probes read the partition's near replicas first.
+  ctx.socket = partitions_[slot].socket;
   KernelCounters counters;
-  if (config_.durable != nullptr) {
-    // Every byte comes through ReadSnapshot, one call per block: the
-    // snapshot bound, uncommitted epochs and a modeled crash all fail
-    // the read exactly as on the scalar path.
-    state->rows.resize(kDurableBlockRows);
+  if (guarded_fact_ != nullptr || config_.durable != nullptr) {
+    // Row-image sources, one read per block: the guarded fact image
+    // (retried, scrubbed or repaired as needed) or the pinned durable
+    // snapshot (the snapshot bound, uncommitted epochs and a modeled
+    // crash all fail the read).
+    state->rows.resize(kRowBlockRows);
     ctx.rows = state->rows.data();
+    std::byte* dst = reinterpret_cast<std::byte*>(state->rows.data());
     for (uint64_t begin = range.begin; begin < range.end;
-         begin += kDurableBlockRows) {
-      const uint64_t end = std::min(range.end, begin + kDurableBlockRows);
-      PMEMOLAP_RETURN_NOT_OK(config_.durable->ReadSnapshot(
-          snapshot_epoch, begin * sizeof(ssb::LineorderRow),
-          (end - begin) * sizeof(ssb::LineorderRow),
-          reinterpret_cast<std::byte*>(state->rows.data())));
+         begin += kRowBlockRows) {
+      const uint64_t end = std::min(range.end, begin + kRowBlockRows);
+      const uint64_t offset = begin * sizeof(ssb::LineorderRow);
+      const uint64_t bytes = (end - begin) * sizeof(ssb::LineorderRow);
+      PMEMOLAP_RETURN_NOT_OK(
+          guarded_fact_ != nullptr
+              ? guarded_fact_->Read(offset, bytes, dst, cancel)
+              : config_.durable->ReadSnapshot(snapshot_epoch, offset, bytes,
+                                              dst));
       ctx.rows_base = begin;
-      ExecuteMorselKernel(query, ctx, begin, end, &state->scratch,
-                          &state->groups, &state->scalar_sum, &state->scalar,
-                          &counters);
+      PMEMOLAP_RETURN_NOT_OK(ExecuteMorselKernel(
+          query, ctx, begin, end, &state->scratch, &state->groups,
+          &state->scalar_sum, &state->scalar, &counters));
     }
   } else {
     ctx.columns = &columns_;
-    ExecuteMorselKernel(query, ctx, range.begin, range.end, &state->scratch,
-                        &state->groups, &state->scalar_sum, &state->scalar,
-                        &counters);
+    PMEMOLAP_RETURN_NOT_OK(ExecuteMorselKernel(
+        query, ctx, range.begin, range.end, &state->scratch, &state->groups,
+        &state->scalar_sum, &state->scalar, &counters));
   }
   ProbeCounters& probes = state->probes[slot];
   probes.date += counters.date_probes;
@@ -807,7 +521,7 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
 }
 
 ssb::QueryOutput SsbEngine::DrainWorkerOutput(WorkerState* state) {
-  ssb::QueryOutput out = std::move(state->output);
+  ssb::QueryOutput out;
   if (state->scalar) {
     out.scalar = true;
     out.value += state->scalar_sum;
@@ -956,7 +670,6 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       1, config_.threads / std::max<int>(1, static_cast<int>(
                                                 partitions_.size())));
 
-  const bool guarded = guarded_fact_ != nullptr;
   const bool durable = config_.durable != nullptr;
   // Durable mode pins the snapshot once, post-admission: however many
   // epochs commit while the query runs, every range reads the same
@@ -981,7 +694,6 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     return TupleRange{std::clamp(range.begin, window_begin, window_end),
                       std::clamp(range.end, window_begin, window_end)};
   };
-  const bool vectorized = config_.vectorized && !guarded;
   const size_t slots = partitions_.size();
   // The same token the executors poll between morsels also cuts guarded
   // retry storms short: FaultAwareReader checks it between attempts, so a
@@ -1067,9 +779,8 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
           }
           return ExecuteRangeInto(
               query, slot_of_socket[static_cast<size_t>(morsel.socket)],
-              {morsel.begin, morsel.end}, vectorized, snapshot_epoch,
-              decision_ptr, &states[static_cast<size_t>(worker)],
-              cancel_check);
+              {morsel.begin, morsel.end}, snapshot_epoch,
+              &states[static_cast<size_t>(worker)], cancel_check);
         },
         control);
     progress.units_executed = stats.executed;
@@ -1084,9 +795,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
       PMEMOLAP_RETURN_NOT_OK(token.Check());
       const TupleRange range = clamp_range(partitions_[slot].tuples);
       if (tiered) config_.tiering->Touch(range.begin, range.end);
-      PMEMOLAP_RETURN_NOT_OK(
-          ExecuteRangeInto(query, slot, range, vectorized, snapshot_epoch,
-                           decision_ptr, &states[0], cancel_check));
+      PMEMOLAP_RETURN_NOT_OK(ExecuteRangeInto(query, slot, range,
+                                              snapshot_epoch, &states[0],
+                                              cancel_check));
       ++progress.units_executed;
     }
   }

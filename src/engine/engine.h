@@ -92,10 +92,8 @@ struct EngineConfig {
   /// Host execution strategy. The modeled runtime is a function of the
   /// config alone: every executor prices identical traffic.
   ExecutorKind executor = ExecutorKind::kMorselStealing;
-  /// Use the vectorized columnar kernels (selection vectors, batched
-  /// probes, flat per-worker aggregation) instead of the row-at-a-time
-  /// interpreter. Durable mode runs them over blocks of snapshot rows;
-  /// only fault mode always takes the scalar guarded read path.
+  /// Ignored; removed together with its last assignment by the next
+  /// benchmark change (every mode runs the vectorized kernels).
   bool vectorized = true;
   /// Scan the compressed encoded column store (src/encoding): each
   /// lineorder column is FoR-bit-packed, dictionary-encoded, or raw —
@@ -106,7 +104,7 @@ struct EngineConfig {
   /// bytes the encodings save. Requires `columnar` (encoded pricing is a
   /// column-width refinement); incompatible with fault/durable modes
   /// (both read the guarded/durable row image). Results are bit-identical
-  /// to the raw path in every executor mode; off reproduces today's
+  /// to the raw path in both executor modes; off reproduces today's
   /// modeled seconds exactly.
   bool encoding = false;
   /// Tuples per morsel for the work-stealing executor (0 = default).
@@ -114,10 +112,12 @@ struct EngineConfig {
   /// Non-null switches the engine into fault mode: the fact table and the
   /// dimension payloads are materialized on the domain's (armed) space as
   /// guarded PMEM state, and every read goes through the recovery path
-  /// (retry, scrub, replica failover). When the domain carries a breaker
-  /// board, Prepare attaches it to the guarded state and Execute
-  /// re-plans morsels away from quarantined sockets. Must outlive the
-  /// engine.
+  /// (retry, scrub, replica failover). The kernels read the fact rows in
+  /// fixed-size blocks, one guarded read per block, and resolve each
+  /// probe stage's dimension payloads in one guarded batch. When the
+  /// domain carries a breaker board, Prepare attaches it to the guarded
+  /// state and Execute re-plans morsels away from quarantined sockets.
+  /// Must outlive the engine.
   FaultDomain* fault = nullptr;
   /// Non-null gates every Execute through this admission controller:
   /// the engine publishes its load signal (pool depth + fault-domain
@@ -144,9 +144,9 @@ struct EngineConfig {
   /// standing ingest write traffic joins the query's background classes —
   /// so log writes show up at the governor's write knee. Queries scan
   /// only committed rows: a crash mid-epoch can never surface torn data
-  /// to a reader. The vectorized kernels read each morsel's rows in
-  /// fixed-size blocks, one ReadSnapshot per block. Mutually exclusive
-  /// with `fault` guarded mode. Must outlive the engine.
+  /// to a reader. The kernels read each morsel's rows in fixed-size
+  /// blocks, one ReadSnapshot per block. Mutually exclusive with `fault`
+  /// guarded mode. Must outlive the engine.
   DurableTable* durable = nullptr;
   /// Non-null enables three-tier DRAM↔PMEM↔SSD placement of the fact
   /// table (larger-than-memory mode): Prepare attaches the manager's
@@ -231,55 +231,40 @@ class SsbEngine {
     uint64_t total() const { return date + customer + supplier + part; }
   };
 
-  /// Runs the query over one contiguous tuple range (probing `socket`'s
-  /// index replicas), accumulating results and probe counts. In fault
-  /// mode rows and dimension payloads come through the guarded read path
-  /// and an unrecoverable fault surfaces as the returned Status. In
-  /// durable mode rows come out of the DurableTable's pinned
-  /// `snapshot_epoch` (ignored otherwise).
-  Status ExecuteRange(ssb::QueryId query, int socket,
-                      const TupleRange& range, uint64_t snapshot_epoch,
-                      ssb::QueryOutput* out, ProbeCounters* probes,
-                      uint64_t* qualifying,
-                      const CancelCheck& cancel = CancelCheck()) const;
-
   /// Accumulator of one host worker. A worker may execute morsels of
   /// several sockets (stealing), so probe/qualifying counts are kept per
   /// partition slot — the per-socket traffic records stay deterministic
   /// under any steal schedule.
   struct WorkerState {
-    ssb::QueryOutput output;  ///< scalar-path partial result
-    AggTable groups;          ///< vectorized grouped sums
-    int64_t scalar_sum = 0;   ///< vectorized flight-1 sum
+    AggTable groups;          ///< grouped sums (flights 2-4)
+    int64_t scalar_sum = 0;   ///< flight-1 sum
     bool scalar = false;
     std::vector<ProbeCounters> probes;  ///< per partition slot
     std::vector<uint64_t> qualifying;   ///< per partition slot
     KernelScratch scratch;
-    /// Durable vectorized path: the block of committed rows the kernels
-    /// read, refilled by one ReadSnapshot per kDurableBlockRows.
+    /// Fault and durable modes: the block of fact rows the kernels read,
+    /// refilled by one guarded Read or ReadSnapshot per kRowBlockRows.
     std::vector<ssb::LineorderRow> rows;
   };
 
-  /// Rows per durable snapshot read on the vectorized path: 256 KiB of
-  /// 128 B rows, small enough to stay cache-resident while the kernels
-  /// transpose the flight's columns out of it.
-  static constexpr uint64_t kDurableBlockRows = 2048;
+  /// Rows per guarded or durable row-image read: 256 KiB of 128 B rows,
+  /// small enough to stay cache-resident while the kernels transpose the
+  /// flight's columns out of it.
+  static constexpr uint64_t kRowBlockRows = 2048;
 
-  /// Executes tuples [range) of partition slot `slot` into `state`,
-  /// through the vectorized kernels or the scalar (guarded-capable) path.
-  /// In durable mode the kernels run block by block over rows read from
-  /// `snapshot_epoch`.
-  /// A non-null `decision` routes probes of governor-staged dimensions to
-  /// the DRAM replicas (identical payloads: results are bit-identical).
+  /// Executes tuples [range) of partition slot `slot` into `state`
+  /// through the kernels, probing the slot socket's replicas. In fault
+  /// and durable modes the kernels run block by block over rows read off
+  /// the guarded fact image or out of `snapshot_epoch` (ignored
+  /// otherwise); an unrecoverable fault or a failed snapshot read
+  /// surfaces as the returned Status.
   Status ExecuteRangeInto(ssb::QueryId query, size_t slot,
-                          const TupleRange& range, bool vectorized,
-                          uint64_t snapshot_epoch,
-                          const governor::GovernorDecision* decision,
+                          const TupleRange& range, uint64_t snapshot_epoch,
                           WorkerState* state,
                           const CancelCheck& cancel = CancelCheck()) const;
 
   /// The partial QueryOutput a worker contributed (merges the flat agg
-  /// table into the ordered map for the vectorized path).
+  /// table into the ordered map).
   static ssb::QueryOutput DrainWorkerOutput(WorkerState* state);
 
   /// Emits the traffic records for one socket's share of the work —
@@ -324,33 +309,26 @@ class SsbEngine {
   ReplicatedIndex supplier_index_;
   ReplicatedIndex part_index_;
   std::vector<SocketPartition> partitions_;
-  /// Columnar projection + dense dimension maps for the vectorized
-  /// kernels (built in Prepare unless running in fault mode). Durable
-  /// mode builds only the dense maps: its rows come from the durable
-  /// image, never from db_->lineorder.
+  /// Columnar projection the kernels scan (built in Prepare outside fault
+  /// and durable modes: those read the guarded or durable row image).
   ssb::ColumnStore columns_;
   /// Compressed view of columns_ (EngineConfig::encoding): scheme picked
-  /// per column at Prepare. Built in every executor mode so encoded scan
-  /// pricing is identical whether or not the kernels actually decode.
+  /// per column at Prepare.
   ssb::EncodedColumnStore encoded_;
+  /// Dense dimension maps the kernels probe: key -> encoded payload, or
+  /// key -> position into the guarded payload arrays in fault mode.
+  /// Governor staging changes only the media RecordSocketTraffic prices
+  /// probes at, never the values probed.
   DenseDimMap date_dense_;
   DenseDimMap customer_dense_;
   DenseDimMap supplier_dense_;
   DenseDimMap part_dense_;
-  /// Governor-staged DRAM replicas of the dense maps (payload-identical
-  /// copies built in Prepare when a governor is configured): staging
-  /// probes the replica, eviction falls back to the base map — either way
-  /// the same payloads, so outputs stay bit-identical.
-  DenseDimMap date_staged_;
-  DenseDimMap customer_staged_;
-  DenseDimMap supplier_staged_;
-  DenseDimMap part_staged_;
   /// The persistent work-stealing executor (kMorselStealing only):
   /// spawned once in Prepare, reused by every Execute.
   std::unique_ptr<WorkStealingPool> pool_;
   // Fault mode: the fact byte image lives in a CRC-guarded striped table
-  // and the indexes map keys to dense positions into these guarded
-  // payload arrays (instead of holding the payloads inline).
+  // and the dense maps hold positions into these guarded payload arrays
+  // (instead of the payloads themselves).
   std::unique_ptr<GuardedTable> guarded_fact_;
   std::unique_ptr<GuardedDimension> guarded_date_;
   std::unique_ptr<GuardedDimension> guarded_customer_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "fault/guarded_table.h"
+
 namespace pmemolap {
 
 namespace {
@@ -98,16 +100,26 @@ void SelectAll(uint64_t begin, uint64_t end, KernelScratch* s) {
   for (uint64_t i = begin; i < end; ++i) s->sel[i - begin] = i;
 }
 
-/// Gathers `col` at the sel positions through the dense dimension map,
-/// leaving payloads aligned with sel. Counts |sel| probes into `count`.
-void ProbeSelected(const DenseDimMap& dim, ColumnSlice col,
-                   KernelScratch* s, uint64_t* count) {
-  const size_t n = s->sel.size();
+/// Probes `dim` for the keys key_at(0..n), leaving the payloads in
+/// s->payloads. Counts n probes into `count`. In fault mode the dense map
+/// yields positions, resolved to payloads in one guarded batch.
+template <typename KeyAt>
+Status ProbeKeys(const KernelContext& ctx, const KernelDim& dim, size_t n,
+                 KeyAt key_at, KernelScratch* s, uint64_t* count) {
   *count += n;
   s->payloads.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    s->payloads[i] = dim.Lookup(col[s->sel[i]]);
-  }
+  for (size_t i = 0; i < n; ++i) s->payloads[i] = dim.map->Lookup(key_at(i));
+  if (dim.guarded == nullptr) return Status::OK();
+  return dim.guarded->Payloads(ctx.socket, s->payloads);
+}
+
+/// Probes `dim` with `col` at the sel positions, leaving payloads aligned
+/// with sel.
+Status ProbeSelected(const KernelContext& ctx, const KernelDim& dim,
+                     ColumnSlice col, KernelScratch* s, uint64_t* count) {
+  return ProbeKeys(
+      ctx, dim, s->sel.size(), [&](size_t i) { return col[s->sel[i]]; }, s,
+      count);
 }
 
 /// Compacts sel by keep(payload). An existing carried attribute
@@ -136,21 +148,22 @@ void CompactStage(KernelScratch* s, std::vector<int32_t>* keep_attr,
 
 constexpr auto kNoCarry = [](uint64_t) { return 0; };
 
-/// Final stage of the join flights: dense date lookup per survivor,
-/// year filter, group-aggregate update.
+/// Final stage of the join flights: date probe per survivor, year
+/// filter, group-aggregate update.
 template <typename Keep, typename Key, typename Value>
-void DateAggregate(const KernelContext& ctx, ColumnSlice orderdate,
-                   KernelScratch* s, AggTable* groups,
-                   KernelCounters* counters, Keep keep, Key key,
-                   Value value) {
-  counters->date_probes += s->sel.size();
+Status DateAggregate(const KernelContext& ctx, ColumnSlice orderdate,
+                     KernelScratch* s, AggTable* groups,
+                     KernelCounters* counters, Keep keep, Key key,
+                     Value value) {
+  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.date, orderdate, s,
+                                       &counters->date_probes));
   for (size_t i = 0; i < s->sel.size(); ++i) {
-    const uint64_t idx = s->sel[i];
-    const DateAttrs d = DecodeDate(ctx.date->Lookup(orderdate[idx]));
+    const DateAttrs d = DecodeDate(s->payloads[i]);
     if (!keep(d)) continue;
-    groups->Add(key(d, i), value(idx));
+    groups->Add(key(d, i), value(s->sel[i]));
     ++counters->qualifying;
   }
+  return Status::OK();
 }
 
 /// Flight-1 predicate bounds: discount in [d_lo, d_hi], quantity in
@@ -175,15 +188,16 @@ Flight1Predicate Flight1PredicateOf(QueryId query) {
 /// `orderdate_at`/`price_at`/`discount_at` map a sel position to the
 /// tuple's attribute values.
 template <typename Date, typename Price, typename Discount>
-void Flight1Aggregate(QueryId query, const KernelContext& ctx,
-                      KernelScratch* s, int64_t* scalar_sum,
-                      KernelCounters* counters, Date orderdate_at,
-                      Price price_at, Discount discount_at) {
-  counters->date_probes += s->sel.size();
+Status Flight1Aggregate(QueryId query, const KernelContext& ctx,
+                        KernelScratch* s, int64_t* scalar_sum,
+                        KernelCounters* counters, Date orderdate_at,
+                        Price price_at, Discount discount_at) {
+  PMEMOLAP_RETURN_NOT_OK(ProbeKeys(ctx, ctx.date, s->sel.size(),
+                                   orderdate_at, s, &counters->date_probes));
   int64_t sum = 0;
   uint64_t qualifying = 0;
   for (size_t i = 0; i < s->sel.size(); ++i) {
-    const uint64_t payload = ctx.date->Lookup(orderdate_at(i));
+    const uint64_t payload = s->payloads[i];
     bool keep;
     if (query == QueryId::kQ1_1) {
       keep = (payload >> 40) == 1993;
@@ -199,6 +213,7 @@ void Flight1Aggregate(QueryId query, const KernelContext& ctx,
   }
   *scalar_sum += sum;
   counters->qualifying += qualifying;
+  return Status::OK();
 }
 
 /// Encoded flight 1: the discount range predicate runs directly against
@@ -207,9 +222,9 @@ void Flight1Aggregate(QueryId query, const KernelContext& ctx,
 /// refinement and the aggregate inputs come through frame-cached gathers
 /// at the surviving positions. Selection order and counts match the raw
 /// loop exactly.
-void Flight1Encoded(QueryId query, const KernelContext& ctx, uint64_t begin,
-                    uint64_t end, KernelScratch* s, int64_t* scalar_sum,
-                    KernelCounters* counters) {
+Status Flight1Encoded(QueryId query, const KernelContext& ctx,
+                      uint64_t begin, uint64_t end, KernelScratch* s,
+                      int64_t* scalar_sum, KernelCounters* counters) {
   const ssb::EncodedColumnStore& enc = *ctx.encoded;
   const Flight1Predicate pred = Flight1PredicateOf(query);
 
@@ -230,19 +245,18 @@ void Flight1Encoded(QueryId query, const KernelContext& ctx, uint64_t begin,
   enc.column(LineorderColumn::kExtendedprice)
       .GatherInto(s->sel, &s->attr_b);
   enc.column(LineorderColumn::kDiscount).GatherInto(s->sel, &s->attr_c);
-  Flight1Aggregate(
+  return Flight1Aggregate(
       query, ctx, s, scalar_sum, counters,
       [&](size_t i) { return s->attr_a[i]; },
       [&](size_t i) { return s->attr_b[i]; },
       [&](size_t i) { return s->attr_c[i]; });
 }
 
-void Flight1(QueryId query, const KernelContext& ctx, uint64_t begin,
-             uint64_t end, KernelScratch* s, int64_t* scalar_sum,
-             KernelCounters* counters) {
+Status Flight1(QueryId query, const KernelContext& ctx, uint64_t begin,
+               uint64_t end, KernelScratch* s, int64_t* scalar_sum,
+               KernelCounters* counters) {
   if (ctx.encoded != nullptr) {
-    Flight1Encoded(query, ctx, begin, end, s, scalar_sum, counters);
-    return;
+    return Flight1Encoded(query, ctx, begin, end, s, scalar_sum, counters);
   }
   const ColumnSlice discount =
       SliceFor(ctx, LineorderColumn::kDiscount, begin, end, s);
@@ -280,16 +294,16 @@ void Flight1(QueryId query, const KernelContext& ctx, uint64_t begin,
       break;
   }
 
-  Flight1Aggregate(
+  return Flight1Aggregate(
       query, ctx, s, scalar_sum, counters,
       [&](size_t i) { return orderdate[s->sel[i]]; },
       [&](size_t i) { return price[s->sel[i]]; },
       [&](size_t i) { return discount[s->sel[i]]; });
 }
 
-void Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
-             uint64_t end, KernelScratch* s, AggTable* groups,
-             KernelCounters* counters) {
+Status Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
+               uint64_t end, KernelScratch* s, AggTable* groups,
+               KernelCounters* counters) {
   const ColumnSlice partkey =
       SliceFor(ctx, LineorderColumn::kPartkey, begin, end, s);
   const ColumnSlice suppkey =
@@ -299,7 +313,8 @@ void Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
   const ColumnSlice revenue =
       SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
   SelectAll(begin, end, s);
-  ProbeSelected(*ctx.part, partkey, s, &counters->part_probes);
+  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.part, partkey, s,
+                                       &counters->part_probes));
   auto brand = [](uint64_t payload) {
     return DecodePart(payload).brand_id;
   };
@@ -323,12 +338,13 @@ void Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
   const int wanted_region = query == QueryId::kQ2_1   ? kRegionAmerica
                             : query == QueryId::kQ2_2 ? kRegionAsia
                                                       : kRegionEurope;
-  ProbeSelected(*ctx.supplier, suppkey, s, &counters->supplier_probes);
+  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.supplier, suppkey, s,
+                                       &counters->supplier_probes));
   CompactStage(s, &s->attr_a, nullptr,
                [&](uint64_t p) { return DecodeGeo(p).region == wanted_region; },
                kNoCarry);
 
-  DateAggregate(
+  return DateAggregate(
       ctx, orderdate, s, groups, counters,
       [](const DateAttrs&) { return true; },
       [&](const DateAttrs& d, size_t i) {
@@ -337,9 +353,9 @@ void Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
       [&](uint64_t idx) { return static_cast<int64_t>(revenue[idx]); });
 }
 
-void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
-             uint64_t end, KernelScratch* s, AggTable* groups,
-             KernelCounters* counters) {
+Status Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
+               uint64_t end, KernelScratch* s, AggTable* groups,
+               KernelCounters* counters) {
   const ColumnSlice custkey =
       SliceFor(ctx, LineorderColumn::kCustkey, begin, end, s);
   const ColumnSlice suppkey =
@@ -349,7 +365,8 @@ void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
   const ColumnSlice revenue =
       SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
   SelectAll(begin, end, s);
-  ProbeSelected(*ctx.customer, custkey, s, &counters->customer_probes);
+  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.customer, custkey, s,
+                                       &counters->customer_probes));
   auto is_uk_city = [](int city_id) {
     return city_id == ssb::CityId(kUnitedKingdom, 1) ||
            city_id == ssb::CityId(kUnitedKingdom, 5);
@@ -370,7 +387,8 @@ void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
   }
 
   // Supplier stage: filter + carry the second grouping attribute.
-  ProbeSelected(*ctx.supplier, suppkey, s, &counters->supplier_probes);
+  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.supplier, suppkey, s,
+                                       &counters->supplier_probes));
   if (query == QueryId::kQ3_1) {
     CompactStage(s, &s->attr_a, &s->attr_b,
                  [](uint64_t p) { return DecodeGeo(p).region == kRegionAsia; },
@@ -389,7 +407,7 @@ void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
     if (query == QueryId::kQ3_4) return d.yearmonthnum == 199712;
     return d.year >= 1992 && d.year <= 1997;
   };
-  DateAggregate(
+  return DateAggregate(
       ctx, orderdate, s, groups, counters, keep_date,
       [&](const DateAttrs& d, size_t i) {
         return ssb::GroupKey{s->attr_a[i], s->attr_b[i], d.year};
@@ -397,9 +415,9 @@ void Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
       [&](uint64_t idx) { return static_cast<int64_t>(revenue[idx]); });
 }
 
-void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
-             uint64_t end, KernelScratch* s, AggTable* groups,
-             KernelCounters* counters) {
+Status Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
+               uint64_t end, KernelScratch* s, AggTable* groups,
+               KernelCounters* counters) {
   const ColumnSlice suppkey =
       SliceFor(ctx, LineorderColumn::kSuppkey, begin, end, s);
   const ColumnSlice partkey =
@@ -417,28 +435,30 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
 
   if (query == QueryId::kQ4_3) {
     // supplier (nation, carry city) -> part (category, carry brand) -> date
-    ProbeSelected(*ctx.supplier, suppkey, s, &counters->supplier_probes);
+    PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.supplier, suppkey, s,
+                                         &counters->supplier_probes));
     CompactStage(s, nullptr, &s->attr_a,
                  [](uint64_t p) { return DecodeGeo(p).nation == kUnitedStates; },
                  [](uint64_t p) { return DecodeGeo(p).city_id; });
-    ProbeSelected(*ctx.part, partkey, s, &counters->part_probes);
+    PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.part, partkey, s,
+                                         &counters->part_probes));
     CompactStage(s, &s->attr_a, &s->attr_b,
                  [](uint64_t p) { return DecodePart(p).category_id == 14; },
                  [](uint64_t p) { return DecodePart(p).brand_id; });
-    DateAggregate(
+    return DateAggregate(
         ctx, orderdate, s, groups, counters,
         [](const DateAttrs& d) { return d.year == 1997 || d.year == 1998; },
         [&](const DateAttrs& d, size_t i) {
           return ssb::GroupKey{d.year, s->attr_a[i], s->attr_b[i]};
         },
         profit);
-    return;
   }
 
   // Q4.1 / Q4.2: customer -> supplier -> part -> date.
   const ColumnSlice custkey =
       SliceFor(ctx, LineorderColumn::kCustkey, begin, end, s);
-  ProbeSelected(*ctx.customer, custkey, s, &counters->customer_probes);
+  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.customer, custkey, s,
+                                       &counters->customer_probes));
   if (query == QueryId::kQ4_1) {
     CompactStage(s, nullptr, &s->attr_a,
                  [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
@@ -449,7 +469,8 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
                  kNoCarry);
   }
 
-  ProbeSelected(*ctx.supplier, suppkey, s, &counters->supplier_probes);
+  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.supplier, suppkey, s,
+                                       &counters->supplier_probes));
   if (query == QueryId::kQ4_1) {
     CompactStage(s, &s->attr_a, nullptr,
                  [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
@@ -460,7 +481,8 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
                  [](uint64_t p) { return DecodeGeo(p).nation; });
   }
 
-  ProbeSelected(*ctx.part, partkey, s, &counters->part_probes);
+  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.part, partkey, s,
+                                       &counters->part_probes));
   if (query == QueryId::kQ4_1) {
     CompactStage(s, &s->attr_a, nullptr,
                  [](uint64_t p) {
@@ -468,7 +490,7 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
                    return mfgr == 1 || mfgr == 2;
                  },
                  kNoCarry);
-    DateAggregate(
+    return DateAggregate(
         ctx, orderdate, s, groups, counters,
         [](const DateAttrs&) { return true; },
         [&](const DateAttrs& d, size_t i) {
@@ -482,7 +504,7 @@ void Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
                    return mfgr == 1 || mfgr == 2;
                  },
                  [](uint64_t p) { return DecodePart(p).category_id; });
-    DateAggregate(
+    return DateAggregate(
         ctx, orderdate, s, groups, counters,
         [](const DateAttrs& d) { return d.year == 1997 || d.year == 1998; },
         [&](const DateAttrs& d, size_t i) {
@@ -511,41 +533,22 @@ void DenseDimMap::Build(const std::vector<int32_t>& keys,
   }
 }
 
-void DenseDimMap::Build(const std::vector<ssb::DateRow>& dates) {
-  payloads_.clear();
-  if (dates.empty()) return;
-  int32_t lo = std::numeric_limits<int32_t>::max();
-  int32_t hi = std::numeric_limits<int32_t>::min();
-  for (const ssb::DateRow& d : dates) {
-    lo = std::min(lo, d.datekey);
-    hi = std::max(hi, d.datekey);
-  }
-  base_ = lo;
-  payloads_.assign(static_cast<size_t>(hi - lo) + 1, 0);
-  for (const ssb::DateRow& d : dates) {
-    payloads_[static_cast<size_t>(d.datekey - lo)] = EncodeDate(d);
-  }
-}
-
-void ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
-                         uint64_t begin, uint64_t end, KernelScratch* scratch,
-                         AggTable* groups, int64_t* scalar_sum, bool* scalar,
-                         KernelCounters* counters) {
-  if (begin >= end) return;
+Status ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
+                           uint64_t begin, uint64_t end,
+                           KernelScratch* scratch, AggTable* groups,
+                           int64_t* scalar_sum, bool* scalar,
+                           KernelCounters* counters) {
+  if (begin >= end) return Status::OK();
   switch (ssb::FlightOf(query)) {
     case 1:
       *scalar = true;
-      Flight1(query, ctx, begin, end, scratch, scalar_sum, counters);
-      break;
+      return Flight1(query, ctx, begin, end, scratch, scalar_sum, counters);
     case 2:
-      Flight2(query, ctx, begin, end, scratch, groups, counters);
-      break;
+      return Flight2(query, ctx, begin, end, scratch, groups, counters);
     case 3:
-      Flight3(query, ctx, begin, end, scratch, groups, counters);
-      break;
+      return Flight3(query, ctx, begin, end, scratch, groups, counters);
     default:
-      Flight4(query, ctx, begin, end, scratch, groups, counters);
-      break;
+      return Flight4(query, ctx, begin, end, scratch, groups, counters);
   }
 }
 

@@ -1,9 +1,7 @@
-// Vectorized columnar kernels for the 13 SSB queries.
-//
-// The scalar engine interprets one tuple at a time through a 13-way
-// switch, probing indexes row-by-row and aggregating into a std::map —
-// wall-clock goes to interpretation overhead, not memory bandwidth. These
-// kernels process a morsel in columnar stages instead:
+// Vectorized columnar kernels for the 13 SSB queries — the engine's only
+// query implementation (ssb::ReferenceExecutor is the oracle it is checked
+// against). A morsel runs in columnar stages instead of one tuple at a
+// time, so wall-clock goes to memory traffic, not interpretation:
 //
 //   1. selection-vector predicate evaluation over column arrays
 //      (touches only the filtered columns, not the 128 B row);
@@ -16,24 +14,31 @@
 //
 // The columns come from one of three sources (KernelContext): the raw
 // ssb::ColumnStore vectors, block decode of the encoded column store, or
-// a block of committed rows read out of a durable snapshot and transposed
-// column by column. The flight code is written once against ColumnSlice;
-// only flight 1's predicate-on-encoded path is specific to its source.
+// a block of 128 B rows — read out of a durable snapshot or off the
+// guarded fact image in fault mode — transposed column by column. The
+// flight code is written once against ColumnSlice; only flight 1's
+// predicate-on-encoded path is specific to its source.
 //
-// The kernels mirror the scalar switch's short-circuit semantics exactly:
-// a dimension is probed only for tuples that survived the previous stage,
-// so outputs AND the per-dimension probe counts feeding the traffic model
-// are bit-identical to the scalar path.
+// Every stage short-circuits like a row-at-a-time plan would: a dimension
+// is probed only for tuples that survived the previous stage, so the
+// per-dimension probe counts feeding the traffic model are those of the
+// textbook left-deep plan (the engine tests pin them per query).
+//
+// In fault mode each probe stage resolves its gathered positions through
+// the guarded dimension replicas (GuardedDimension::Payloads, one lock
+// per stage), so poisoned payloads fail over or repair exactly as they
+// would per probe.
 //
 // The dimension payload encodings (the uint64 values stored in the
-// indexes) live here so the scalar engine, the guarded fault path, and
-// the vectorized kernels share one definition.
+// indexes and the guarded replicas) live here so the engine's index
+// build, the guarded fault path and the kernels share one definition.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "engine/agg_table.h"
 #include "ssb/column_store.h"
 #include "ssb/dbgen.h"
@@ -41,6 +46,8 @@
 #include "ssb/queries.h"
 
 namespace pmemolap {
+
+class GuardedDimension;
 
 // --- Dimension payload encodings -------------------------------------------
 
@@ -103,19 +110,18 @@ inline PartAttrs DecodePart(uint64_t payload) {
 
 // --- Dense dimension fast path ----------------------------------------------
 
-/// Direct-indexed key -> encoded payload map. Every SSB dimension has a
-/// dense key space (custkey/suppkey/partkey run 1..N; datekey spans the
-/// yyyymmdd values of seven years, a ~70k range), so for the read-only
-/// vectorized path a direct-indexed payload array replaces the hash probe
-/// entirely. The probe *counts* are still reported per stage, so the
-/// traffic model sees the same dimension accesses as the scalar engine.
+/// Direct-indexed key -> value map. Every SSB dimension has a dense key
+/// space (custkey/suppkey/partkey run 1..N; datekey spans the yyyymmdd
+/// values of seven years, a ~70k range), so for the read-only kernels a
+/// direct-indexed array replaces the hash probe entirely. The values are
+/// encoded payloads, or — in fault mode — positions into the guarded
+/// payload replicas. The probe *counts* are still reported per stage, so
+/// the traffic model sees every dimension access the index would serve.
 class DenseDimMap {
  public:
-  /// Build from parallel key/payload arrays (keys need not be sorted).
+  /// Build from parallel key/value arrays (keys need not be sorted).
   void Build(const std::vector<int32_t>& keys,
              const std::vector<uint64_t>& payloads);
-  /// Date-dimension convenience: key = datekey, payload = EncodeDate.
-  void Build(const std::vector<ssb::DateRow>& dates);
 
   uint64_t Lookup(int32_t key) const {
     return payloads_[static_cast<uint32_t>(key - base_)];
@@ -131,7 +137,7 @@ class DenseDimMap {
 
 /// One column of a morsel as the kernels see it: a base pointer plus the
 /// global index of its first element. The raw path slices the ColumnStore
-/// vector directly (base 0, zero copy); the encoded and durable paths
+/// vector directly (base 0, zero copy); the encoded and row-block paths
 /// slice a morsel-local buffer (base = first tuple of the kernel call)
 /// filled by block decode or by transposing the row block. The staged
 /// flight code is written once against this view.
@@ -144,13 +150,20 @@ struct ColumnSlice {
   }
 };
 
+/// One dimension as a probe stage sees it: the dense key map and, in
+/// fault mode, the guarded payload replicas the map's values index into.
+/// A null `guarded` means the map holds the payloads themselves.
+struct KernelDim {
+  const DenseDimMap* map = nullptr;
+  GuardedDimension* guarded = nullptr;
+};
+
 /// Everything one worker needs to execute a morsel: one column source
-/// plus the dense dimension lookup arrays. The source is, in order of
-/// precedence:
-///  - a durable row block (`rows` non-null): committed rows read out of a
-///    snapshot, `rows[0]` being global tuple `rows_base`; the kernels
-///    transpose only the columns the flight touches, and [begin, end)
-///    must lie inside the block;
+/// plus the four dimensions. The source is, in order of precedence:
+///  - a row block (`rows` non-null): rows read out of a durable snapshot
+///    or off the guarded fact image, `rows[0]` being global tuple
+///    `rows_base`; the kernels transpose only the columns the flight
+///    touches, and [begin, end) must lie inside the block;
 ///  - the encoded store (`encoded` non-null), scanned by decode-on-scan:
 ///    flight predicates run against the encoded frames (FoR
 ///    frame-skipping, dictionary code rewriting) and the staged kernels
@@ -163,15 +176,17 @@ struct KernelContext {
   const ssb::EncodedColumnStore* encoded = nullptr;
   const ssb::LineorderRow* rows = nullptr;
   uint64_t rows_base = 0;
-  const DenseDimMap* date = nullptr;
-  const DenseDimMap* customer = nullptr;
-  const DenseDimMap* supplier = nullptr;
-  const DenseDimMap* part = nullptr;
+  KernelDim date;
+  KernelDim customer;
+  KernelDim supplier;
+  KernelDim part;
+  /// Socket whose guarded replicas the probes read first (fault mode).
+  int socket = 0;
 };
 
 /// Per-dimension probe counts and qualifying tuples of one kernel run,
-/// matching the scalar engine's short-circuit counting exactly. These
-/// feed RecordSocketTraffic, so the modeled runtime stays identical.
+/// counted per short-circuit stage. These feed RecordSocketTraffic, so
+/// the modeled runtime is a function of the data, not of the executor.
 struct KernelCounters {
   uint64_t date_probes = 0;
   uint64_t customer_probes = 0;
@@ -188,19 +203,21 @@ struct KernelScratch {
   std::vector<int32_t> attr_a;     ///< carried attribute, aligned with sel
   std::vector<int32_t> attr_b;     ///< second carried attribute
   std::vector<int32_t> attr_c;     ///< third carried attribute (flight 1)
-  /// Morsel-local column buffers for the encoded and durable row-block
-  /// sources, one per lineorder column (only the flight's touched columns
-  /// are filled).
+  /// Morsel-local column buffers for the encoded and row-block sources,
+  /// one per lineorder column (only the flight's touched columns are
+  /// filled).
   std::array<std::vector<int32_t>, ssb::kNumLineorderColumns> decoded;
 };
 
 /// Executes `query` over tuples [begin, end) with the staged columnar
 /// kernels, accumulating grouped sums into `groups`, the flight-1 scalar
 /// sum into `*scalar_sum` (setting `*scalar`), and probe/qualifying
-/// counts into `counters`.
-void ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
-                         uint64_t begin, uint64_t end, KernelScratch* scratch,
-                         AggTable* groups, int64_t* scalar_sum, bool* scalar,
-                         KernelCounters* counters);
+/// counts into `counters`. Fails only in fault mode, with the first
+/// guarded dimension read that could not be recovered.
+Status ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
+                           uint64_t begin, uint64_t end,
+                           KernelScratch* scratch, AggTable* groups,
+                           int64_t* scalar_sum, bool* scalar,
+                           KernelCounters* counters);
 
 }  // namespace pmemolap

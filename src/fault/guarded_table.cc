@@ -268,10 +268,24 @@ Result<std::unique_ptr<GuardedDimension>> GuardedDimension::Create(
 }
 
 Result<uint64_t> GuardedDimension::Payload(int socket, uint64_t pos) {
-  if (pos >= source_.size()) {
-    return Status::OutOfRange("dimension position out of range");
-  }
+  uint64_t value = pos;
+  PMEMOLAP_RETURN_NOT_OK(Payloads(socket, std::span<uint64_t>(&value, 1)));
+  return value;
+}
+
+Status GuardedDimension::Payloads(int socket,
+                                  std::span<uint64_t> positions) {
   std::lock_guard<std::mutex> lock(mutex_);
+  for (uint64_t& pos : positions) {
+    if (pos >= source_.size()) {
+      return Status::OutOfRange("dimension position out of range");
+    }
+    PMEMOLAP_ASSIGN_OR_RETURN(pos, PayloadLocked(socket, pos));
+  }
+  return Status::OK();
+}
+
+Result<uint64_t> GuardedDimension::PayloadLocked(int socket, uint64_t pos) {
   const uint64_t offset = pos * sizeof(uint64_t);
   const int n = table_.num_copies();
   const int local = ((socket % n) + n) % n;

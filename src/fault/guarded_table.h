@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -125,8 +126,15 @@ class GuardedDimension {
   /// Payload at `pos`, read from the healthy replica nearest `socket`:
   /// local copy when clean, failover to another socket's copy otherwise,
   /// repair of the local copy from the source as the last resort.
-  /// Thread-safe.
+  /// Thread-safe. A one-element Payloads call.
   Result<uint64_t> Payload(int socket, uint64_t pos);
+
+  /// Batch form of Payload: replaces every position in `positions` with
+  /// its payload, resolving each in order through the same local /
+  /// failover / repair / breaker steps under one lock acquisition. Stops
+  /// at the first position out of range or unrecoverable (earlier
+  /// elements are already resolved). Thread-safe.
+  Status Payloads(int socket, std::span<uint64_t> positions);
 
   /// Routes reads through per-socket circuit breakers: failovers off a
   /// replica escalate its breaker, and reads against a quarantined
@@ -140,6 +148,10 @@ class GuardedDimension {
 
  private:
   GuardedDimension() = default;
+
+  /// Payload at `pos` (< size()) for a reader on `socket`; caller holds
+  /// mutex_.
+  Result<uint64_t> PayloadLocked(int socket, uint64_t pos);
 
   FaultInjector* injector_ = nullptr;
   BreakerBoard* breakers_ = nullptr;

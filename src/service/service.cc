@@ -185,10 +185,10 @@ Status QueryService::Prepare() {
   primary.threads = config_.threads;
   primary.project_to_sf = config_.project_to_sf;
   primary.governor = governor_.get();
-  // Guarded campaigns take the scalar row path; durable campaigns run the
-  // vectorized kernels over blocks of snapshot rows. Both are priced as
-  // 128 B row scans (columnar = false): the columnar layout only applies
-  // to plain campaigns.
+  // Guarded and durable campaigns run the kernels over blocks of rows
+  // read off the guarded fact image or out of a snapshot. Both are priced
+  // as 128 B row scans (columnar = false): the columnar layout only
+  // applies to plain campaigns.
   primary.columnar = !poison_mode && !durable_mode;
   if (poison_mode) primary.fault = &domain_;
   if (durable_mode) primary.durable = table_.get();

@@ -3,9 +3,9 @@
 // to the reference executor, keep pinned snapshots stable while ingest
 // advances, surface a modeled crash as Unavailable until Recover() runs
 // (pausing admission while it replays), and price standing ingest
-// traffic into query runtimes. Every executor x kernel mode must agree
-// on results and modeled time at every epoch prefix, and the vectorized
-// kernels must answer from the durable image, never from the source rows.
+// traffic into query runtimes. Both executors must agree on results and
+// modeled time at every epoch prefix, and the kernels must answer from
+// the durable image, never from the source rows.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -103,8 +103,8 @@ Database WithLineorderPrefix(const Database& db,
   return prefix;
 }
 
-/// What one durable query run must reproduce in every executor x kernel
-/// mode: the output, the modeled time and the work counts pricing uses.
+/// What one durable query run must reproduce on both executors: the
+/// output, the modeled time and the work counts pricing uses.
 struct DurableObservation {
   ssb::QueryOutput output;
   double seconds = 0.0;
@@ -125,14 +125,8 @@ TEST(EngineDurableTest, ExecutorKernelModesAgreeOnEveryEpochPrefix) {
   constexpr uint64_t kMorselTuples = 3000;
   ASSERT_NE(batch % 2048, 0u);
 
-  struct Mode {
-    ExecutorKind executor;
-    bool vectorized;
-  };
-  const std::vector<Mode> modes = {{ExecutorKind::kSerial, false},
-                                   {ExecutorKind::kSerial, true},
-                                   {ExecutorKind::kMorselStealing, false},
-                                   {ExecutorKind::kMorselStealing, true}};
+  const std::vector<ExecutorKind> modes = {ExecutorKind::kSerial,
+                                           ExecutorKind::kMorselStealing};
   // observed[mode][epoch * 13 + query]. Each mode runs on its own table
   // and governor, fed the same epochs and queries in the same order, so
   // the governor's decisions (and with them modeled time) line up.
@@ -145,8 +139,7 @@ TEST(EngineDurableTest, ExecutorKernelModesAgreeOnEveryEpochPrefix) {
     ASSERT_TRUE(table.ok());
     governor::BandwidthGovernor governor(&model);
     EngineConfig config = DurableConfig(table->get());
-    config.executor = modes[m].executor;
-    config.vectorized = modes[m].vectorized;
+    config.executor = modes[m];
     config.morsel_tuples = kMorselTuples;
     config.governor = &governor;
     SsbEngine engine(&db, &model, config);
@@ -184,9 +177,7 @@ TEST(EngineDurableTest, ExecutorKernelModesAgreeOnEveryEpochPrefix) {
         const DurableObservation& other = observed[m][at];
         const std::string where =
             std::string(ssb::QueryName(query)) + " at epoch " +
-            std::to_string(epoch + 1) + ", " +
-            ExecutorKindName(modes[m].executor) +
-            (modes[m].vectorized ? " vectorized" : " scalar");
+            std::to_string(epoch + 1) + ", " + ExecutorKindName(modes[m]);
         EXPECT_EQ(other.output, base.output) << where;
         EXPECT_EQ(other.seconds, base.seconds) << where;
         EXPECT_EQ(other.phase_seconds, base.phase_seconds) << where;

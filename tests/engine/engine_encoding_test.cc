@@ -70,20 +70,16 @@ uint64_t ScanRecordBytes(const ExecutionProfile& profile) {
   return bytes;
 }
 
-/// The four executor × kernel combinations (serial/stealing, each scalar
-/// and vectorized). The encoded store is built in every one, so modeled
-/// seconds must agree across all four.
+/// The two executors, both on the kernels. Modeled seconds must agree
+/// between them.
 struct ExecCombo {
   const char* name;
   ExecutorKind executor;
-  bool vectorized;
 };
 
 constexpr ExecCombo kCombos[] = {
-    {"serial-scalar", ExecutorKind::kSerial, false},
-    {"serial-vectorized", ExecutorKind::kSerial, true},
-    {"stealing-scalar", ExecutorKind::kMorselStealing, false},
-    {"stealing-vectorized", ExecutorKind::kMorselStealing, true},
+    {"serial", ExecutorKind::kSerial},
+    {"stealing", ExecutorKind::kMorselStealing},
 };
 
 class EngineEncodingTest : public ::testing::TestWithParam<EngineMode> {};
@@ -97,7 +93,6 @@ TEST_P(EngineEncodingTest, BitIdenticalAcrossExecutorsAndKernels) {
   for (const ExecCombo& combo : kCombos) {
     EngineConfig config = EncodedConfig(GetParam());
     config.executor = combo.executor;
-    config.vectorized = combo.vectorized;
     config.morsel_tuples = 4096;  // plenty of stealable units at sf 0.02
     engines.push_back(
         std::make_unique<SsbEngine>(&env.db(), &env.model(), config));
@@ -106,7 +101,6 @@ TEST_P(EngineEncodingTest, BitIdenticalAcrossExecutorsAndKernels) {
 
   EngineConfig raw = ColumnarConfig(GetParam());
   raw.executor = ExecutorKind::kSerial;
-  raw.vectorized = false;
   SsbEngine raw_engine(&env.db(), &env.model(), raw);
   ASSERT_TRUE(raw_engine.Prepare().ok());
 
@@ -127,7 +121,7 @@ TEST_P(EngineEncodingTest, BitIdenticalAcrossExecutorsAndKernels) {
           << kCombos[i].name << "/" << ssb::QueryName(query)
           << ": encoded vs raw";
       // Probe counts feed the traffic model; the encoded fast paths must
-      // preserve the scalar short-circuit counting exactly.
+      // preserve the raw path's short-circuit counting exactly.
       EXPECT_EQ(run->cpu.probes, raw_run->cpu.probes)
           << kCombos[i].name << "/" << ssb::QueryName(query);
       if (encoded_seconds < 0.0) {

@@ -1,6 +1,6 @@
 // Governor <-> engine integration: bit-identical outputs and seconds with
-// the governor off, bit-identical OUTPUTS with it on (staging probes
-// payload-identical replicas), deterministic actuator logs across runs,
+// the governor off, bit-identical OUTPUTS with it on (staging changes
+// only the media probes are priced at), deterministic actuator logs,
 // and the shared degradation signal into admission control.
 #include <gtest/gtest.h>
 
@@ -89,7 +89,8 @@ TEST(EngineGovernorTest, GovernorOffIsBitIdentical) {
 
 TEST(EngineGovernorTest, GovernedOutputsMatchReferenceForAllQueries) {
   // All 13 queries stay bit-identical to the reference with the governor
-  // on and converged (staged probes hit the payload-identical replicas).
+  // on and converged (staged probes are priced as DRAM reads of the same
+  // dense maps).
   GovernorEngineEnv& env = GovernorEngineEnv::Get();
   governor::BandwidthGovernor governor(&env.model());
   EngineConfig config = BaseConfig();
@@ -139,8 +140,8 @@ TEST(EngineGovernorTest, ActuatorLogIsDeterministicAcrossRuns) {
 
 TEST(EngineGovernorTest, StagingEvictionFallsBackBitIdentically) {
   // A zero staging budget evicts everything (nothing ever stages): the
-  // outputs must match the staged run's outputs — the replica and the
-  // base map carry identical payloads.
+  // outputs must match the staged run's outputs — staging moves only the
+  // modeled media of the probe records; both runs probe the same maps.
   GovernorEngineEnv& env = GovernorEngineEnv::Get();
 
   governor::BandwidthGovernor staged_governor(&env.model());

@@ -1,13 +1,15 @@
-// Executor equivalence: every executor x kernel mode (serial or the
-// persistent morsel-stealing pool, scalar or vectorized kernels) must
-// produce bit-identical outputs AND bit-identical modeled runtimes to the
-// serial scalar interpreter — for every query, in both engine modes, and
-// (scalar guarded path, same morsel API) under an injected-fault preset.
+// Executor equivalence: both executors (serial, and the persistent
+// morsel-stealing pool) run the vectorized kernels and must produce
+// outputs bit-identical to the reference, modeled runtimes bit-identical
+// to each other, and per-query probe / aggregate-update counts equal to
+// the pinned constants below — for every query, in both engine modes, and
+// (guarded row blocks and payload batches) under injected faults.
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "fault/fault_domain.h"
@@ -18,7 +20,6 @@ namespace {
 
 using ssb::Database;
 using ssb::QueryId;
-
 /// Shared database + model for the executor tests (dbgen at sf 0.02).
 class PoolEnv {
  public:
@@ -51,64 +52,74 @@ EngineConfig BaseConfig(EngineMode mode) {
   return config;
 }
 
+/// Per-query dimension probes and aggregate updates at PoolEnv (sf 0.02,
+/// seed 11), in AllQueries() order. Captured from the row-at-a-time
+/// interpreter the kernels replaced: its short-circuit plan probes a
+/// dimension only for tuples that survived the previous join, and the
+/// traffic model prices exactly these counts. Both engine modes agree.
+struct PinnedCounts {
+  uint64_t probes;
+  uint64_t agg_updates;
+};
+constexpr PinnedCounts kPinnedCounts[] = {
+    {15758, 2245},   // Q1.1
+    {6475, 95},      // Q1.2
+    {6494, 12},      // Q1.3
+    {125329, 985},   // Q2.1
+    {121295, 245},   // Q2.2
+    {120089, 13},    // Q2.3
+    {147579, 4387},  // Q3.1
+    {125457, 120},   // Q3.2
+    {120577, 0},     // Q3.3
+    {120577, 0},     // Q3.4
+    {150404, 2078},  // Q4.1
+    {150404, 591},   // Q4.2
+    {123082, 33},    // Q4.3
+};
+
+/// Checks one run against the reference output and the pinned counts.
+void ExpectReferenceAndPinned(const SsbEngine::QueryRun& run, size_t index,
+                              QueryId query, const std::string& label) {
+  ASSERT_LT(index, std::size(kPinnedCounts));
+  EXPECT_EQ(run.output, PoolEnv::Get().reference().Execute(query))
+      << label << "/" << ssb::QueryName(query) << ": vs reference";
+  EXPECT_EQ(run.cpu.probes, kPinnedCounts[index].probes)
+      << label << "/" << ssb::QueryName(query);
+  EXPECT_EQ(run.cpu.agg_updates, kPinnedCounts[index].agg_updates)
+      << label << "/" << ssb::QueryName(query);
+}
+
 class ExecutorEquivalenceTest : public ::testing::TestWithParam<EngineMode> {};
 
-TEST_P(ExecutorEquivalenceTest, PoolBitIdenticalToSerialScalar) {
+TEST_P(ExecutorEquivalenceTest, SerialAndMorselMatchReferenceAndPinnedCounts) {
   PoolEnv& env = PoolEnv::Get();
 
   EngineConfig serial = BaseConfig(GetParam());
   serial.executor = ExecutorKind::kSerial;
-  serial.vectorized = false;
   SsbEngine serial_engine(&env.db(), &env.model(), serial);
   ASSERT_TRUE(serial_engine.Prepare().ok());
 
-  // The other three executor x kernel modes, each held to serial-scalar.
-  struct Mode {
-    const char* name;
-    ExecutorKind executor;
-    bool vectorized;
-  };
-  constexpr Mode kModes[] = {
-      {"serial-vectorized", ExecutorKind::kSerial, true},
-      {"morsel-scalar", ExecutorKind::kMorselStealing, false},
-      {"morsel-vectorized", ExecutorKind::kMorselStealing, true},
-  };
-  std::vector<std::unique_ptr<SsbEngine>> engines;
-  for (const Mode& mode : kModes) {
-    EngineConfig config = BaseConfig(GetParam());
-    config.executor = mode.executor;
-    config.vectorized = mode.vectorized;
-    // Small morsels so the sf-0.02 fact table (120k rows) still splits
-    // into plenty of stealable units.
-    config.morsel_tuples = 4096;
-    engines.push_back(
-        std::make_unique<SsbEngine>(&env.db(), &env.model(), config));
-    ASSERT_TRUE(engines.back()->Prepare().ok()) << mode.name;
-  }
+  EngineConfig morsel = BaseConfig(GetParam());
+  morsel.executor = ExecutorKind::kMorselStealing;
+  // Small morsels so the sf-0.02 fact table (120k rows) still splits into
+  // plenty of stealable units.
+  morsel.morsel_tuples = 4096;
+  SsbEngine morsel_engine(&env.db(), &env.model(), morsel);
+  ASSERT_TRUE(morsel_engine.Prepare().ok());
 
-  for (QueryId query : ssb::AllQueries()) {
+  const std::vector<QueryId> queries = ssb::AllQueries();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const QueryId query = queries[q];
     auto serial_run = serial_engine.Execute(query);
     ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
-    EXPECT_EQ(serial_run->output, env.reference().Execute(query))
-        << ssb::QueryName(query) << ": serial vs reference";
-    for (size_t m = 0; m < engines.size(); ++m) {
-      auto run = engines[m]->Execute(query);
-      ASSERT_TRUE(run.ok()) << kModes[m].name << ": "
-                            << run.status().ToString();
-      EXPECT_EQ(run->output, serial_run->output)
-          << kModes[m].name << "/" << ssb::QueryName(query)
-          << ": vs serial-scalar";
-      // The vectorized kernels mirror the scalar short-circuit probe
-      // counts, so the traffic model sees identical inputs: the projected
-      // runtime must match to the bit, not approximately.
-      EXPECT_EQ(run->seconds, serial_run->seconds)
-          << kModes[m].name << "/" << ssb::QueryName(query)
-          << ": modeled runtime must not drift";
-      EXPECT_EQ(run->cpu.probes, serial_run->cpu.probes)
-          << kModes[m].name << "/" << ssb::QueryName(query);
-      EXPECT_EQ(run->cpu.agg_updates, serial_run->cpu.agg_updates)
-          << kModes[m].name << "/" << ssb::QueryName(query);
-    }
+    ExpectReferenceAndPinned(*serial_run, q, query, "serial");
+    auto morsel_run = morsel_engine.Execute(query);
+    ASSERT_TRUE(morsel_run.ok()) << morsel_run.status().ToString();
+    ExpectReferenceAndPinned(*morsel_run, q, query, "morsel");
+    // Both executors feed the traffic model identical inputs: the
+    // projected runtime must match to the bit, not approximately.
+    EXPECT_EQ(morsel_run->seconds, serial_run->seconds)
+        << ssb::QueryName(query) << ": modeled runtime must not drift";
   }
 }
 
@@ -121,34 +132,81 @@ INSTANTIATE_TEST_SUITE_P(BothModes, ExecutorEquivalenceTest,
                                       : "Unaware";
                          });
 
-// The guarded fault path is scalar but rides the same morsel dispatch:
-// results must stay bit-identical to the reference under the moderate
-// fault preset.
-TEST(ExecutorFaultTest, MorselStealingBitIdenticalUnderModerateFaults) {
-  PoolEnv& env = PoolEnv::Get();
+/// The platform `injector` degrades to at modeled time 5 s (inside every
+/// preset's throttle window).
+MemSystemConfig DegradedAtFiveSeconds(FaultInjector* injector) {
+  injector->AdvanceTo(5.0);
+  return injector->Degrade(MemSystemConfig());
+}
 
-  FaultInjector injector(FaultSpec::Preset(2));
-  injector.AdvanceTo(5.0);
-  MemSystemModel model(injector.Degrade(MemSystemConfig()));
-  PmemSpace space(model.config().topology);
-  injector.Arm(&space);
+/// A fault domain over an armed space, on the degraded platform model.
+struct FaultFixture {
+  explicit FaultFixture(const FaultSpec& spec)
+      : injector(spec),
+        model(DegradedAtFiveSeconds(&injector)),
+        space(model.config().topology) {
+    injector.Arm(&space);
+    domain.space = &space;
+    domain.injector = &injector;
+  }
+
+  FaultInjector injector;
+  MemSystemModel model;
+  PmemSpace space;
   FaultDomain domain;
-  domain.space = &space;
-  domain.injector = &injector;
+};
 
+/// Runs all 13 queries on `executor` in fault mode and holds each to the
+/// reference and the pinned counts.
+void RunGuardedQueries(FaultFixture* fixture, ExecutorKind executor,
+                       const std::string& label) {
+  PoolEnv& env = PoolEnv::Get();
   EngineConfig config = BaseConfig(EngineMode::kPmemAware);
-  config.executor = ExecutorKind::kMorselStealing;
+  config.executor = executor;
   config.morsel_tuples = 4096;
-  config.fault = &domain;
-  SsbEngine engine(&env.db(), &model, config);
-  ASSERT_TRUE(engine.Prepare().ok());
+  config.fault = &fixture->domain;
+  SsbEngine engine(&env.db(), &fixture->model, config);
+  ASSERT_TRUE(engine.Prepare().ok()) << label;
 
-  for (QueryId query : ssb::AllQueries()) {
-    auto run = engine.Execute(query);
-    ASSERT_TRUE(run.ok()) << ssb::QueryName(query) << ": "
-                          << run.status().ToString();
-    EXPECT_EQ(run->output, env.reference().Execute(query))
-        << ssb::QueryName(query);
+  const std::vector<QueryId> queries = ssb::AllQueries();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto run = engine.Execute(queries[q]);
+    ASSERT_TRUE(run.ok()) << label << "/" << ssb::QueryName(queries[q])
+                          << ": " << run.status().ToString();
+    ExpectReferenceAndPinned(*run, q, queries[q], label);
+  }
+}
+
+// Fault mode runs the same kernels over guarded row blocks, with every
+// probe stage resolved through the guarded dimension replicas: both
+// executors stay bit-identical to the reference at the healthy and the
+// moderate preset, with the same probe counts as an unguarded run.
+TEST(ExecutorFaultTest, BothExecutorsMatchReferenceUnderFaultPresets) {
+  for (int intensity : {0, 2}) {
+    for (ExecutorKind executor :
+         {ExecutorKind::kSerial, ExecutorKind::kMorselStealing}) {
+      FaultFixture fixture(FaultSpec::Preset(intensity));
+      RunGuardedQueries(&fixture, executor,
+                        std::string(FaultIntensityName(intensity)) + "/" +
+                            ExecutorKindName(executor));
+    }
+  }
+}
+
+// Dense permanent poison over the dimension replicas forces failovers off
+// poisoned near copies: the kernels' batched probes must take the
+// GuardedDimension failover path and still return the reference results.
+TEST(ExecutorFaultTest, DenseDimensionPoisonFailsOverBitIdentically) {
+  FaultSpec spec;
+  spec.poison_lines_per_mib = 128.0;
+  spec.transient_fraction = 0.0;
+  for (ExecutorKind executor :
+       {ExecutorKind::kSerial, ExecutorKind::kMorselStealing}) {
+    FaultFixture fixture(spec);
+    RunGuardedQueries(&fixture, executor, ExecutorKindName(executor));
+    EXPECT_GT(fixture.injector.counters().failovers, 0u)
+        << ExecutorKindName(executor)
+        << ": probes must have failed over off poisoned replicas";
   }
 }
 

@@ -48,7 +48,6 @@ METRICS = {
     ],
     "wallclock_ssb": [
         ("executor_geomean_speedup", "higher", WALLCLOCK),
-        ("kernel_geomean_speedup", "higher", WALLCLOCK),
     ],
     "recovery": [
         ("ssb_tax.geomean_durable_ingest", "lower", MODELED),
