@@ -81,23 +81,6 @@ EngineConfig BaseConfig(bool encoded) {
 // Part 1: per-column encoding ratios.
 // ---------------------------------------------------------------------
 
-const std::vector<int32_t>& RawColumn(const ssb::ColumnStore& columns,
-                                      ssb::LineorderColumn column) {
-  using C = ssb::LineorderColumn;
-  switch (column) {
-    case C::kOrderdate: return columns.orderdate();
-    case C::kCustkey: return columns.custkey();
-    case C::kPartkey: return columns.partkey();
-    case C::kSuppkey: return columns.suppkey();
-    case C::kQuantity: return columns.quantity();
-    case C::kDiscount: return columns.discount();
-    case C::kExtendedprice: return columns.extendedprice();
-    case C::kRevenue: return columns.revenue();
-    case C::kSupplycost: return columns.supplycost();
-  }
-  return columns.orderdate();
-}
-
 void RunColumnTable(const ssb::ColumnStore& columns,
                     const ssb::EncodedColumnStore& encoded,
                     std::ofstream& json) {
@@ -118,7 +101,7 @@ void RunColumnTable(const ssb::ColumnStore& columns,
     enc_total += enc_bytes;
     never_costs &= enc_bytes <= raw_bytes;
     // Lossless spot check: decode-free point access over a sample.
-    const std::vector<int32_t>& reference = RawColumn(columns, column);
+    const std::vector<int32_t>& reference = columns.column(column);
     const uint64_t stride = enc.size() > 4096 ? enc.size() / 4096 : 1;
     for (uint64_t i = 0; i < enc.size(); i += stride) {
       if (enc.Get(i) != reference[i]) {
@@ -255,15 +238,29 @@ struct KernelTiming {
   double speedup() const { return encoded_gbps / raw_gbps; }
 };
 
-/// Times `fn` (which must consume the whole region once per call) and
-/// returns the throughput in logical raw gigabytes per second.
-template <typename Fn>
-double MeasureGbps(uint64_t raw_bytes, int reps, Fn&& fn) {
-  fn();  // warm up: touch every page, populate caches fairly
-  auto start = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < reps; ++rep) fn();
-  const double seconds = SecondsSince(start);
-  return static_cast<double>(raw_bytes) * reps / seconds / kGiB;
+/// Times the raw and the encoded kernel (each must consume the whole
+/// region once per call) in alternating reps, so host drift lands on both
+/// sides alike, and records each side's median throughput in logical raw
+/// gigabytes per second.
+template <typename Raw, typename Encoded>
+void MeasureGbps(uint64_t raw_bytes, int reps, Raw&& raw, Encoded&& encoded,
+                 KernelTiming* timing) {
+  raw();  // warm up: touch every page, populate caches fairly
+  encoded();
+  std::vector<double> raw_seconds;
+  std::vector<double> encoded_seconds;
+  for (int rep = 0; rep < reps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    raw();
+    raw_seconds.push_back(SecondsSince(start));
+    start = std::chrono::steady_clock::now();
+    encoded();
+    encoded_seconds.push_back(SecondsSince(start));
+  }
+  timing->raw_gbps =
+      static_cast<double>(raw_bytes) / Percentile(raw_seconds, 50) / kGiB;
+  timing->encoded_gbps =
+      static_cast<double>(raw_bytes) / Percentile(encoded_seconds, 50) / kGiB;
 }
 
 void RunWallClockScan(std::ofstream& json) {
@@ -272,7 +269,7 @@ void RunWallClockScan(std::ofstream& json) {
   // resident region would flatter the encoded path.
   constexpr uint64_t kValues = 48ull << 20;
   constexpr uint64_t kRawBytes = kValues * sizeof(int32_t);
-  constexpr int kReps = 3;
+  constexpr int kReps = 15;  // per side, alternating; medians compared
   std::printf("\n[3] Wall-clock scan: %.0f MiB clustered int32 column\n",
               static_cast<double>(kRawBytes) / kMiB);
 
@@ -294,20 +291,23 @@ void RunWallClockScan(std::ofstream& json) {
     KernelTiming timing;
     timing.name = "selective range scan (2%)";
     volatile uint64_t sink = 0;
-    timing.raw_gbps = MeasureGbps(kRawBytes, kReps, [&] {
-      uint64_t matches = 0;
-      for (uint64_t i = 0; i < kValues; ++i) {
-        matches += raw[i] >= lo && raw[i] <= hi;
-      }
-      sink = matches;
-    });
     std::vector<uint64_t> sel;
     sel.reserve(kValues / 32);
-    timing.encoded_gbps = MeasureGbps(kRawBytes, kReps, [&] {
-      sel.clear();
-      encoded.AppendMatchingRange(lo, hi, 0, kValues, &sel);
-      sink = sel.size();
-    });
+    MeasureGbps(
+        kRawBytes, kReps,
+        [&] {
+          uint64_t matches = 0;
+          for (uint64_t i = 0; i < kValues; ++i) {
+            matches += raw[i] >= lo && raw[i] <= hi;
+          }
+          sink = matches;
+        },
+        [&] {
+          sel.clear();
+          encoded.AppendMatchingRange(lo, hi, 0, kValues, &sel);
+          sink = sel.size();
+        },
+        &timing);
     // Same matches either way (the raw loop recomputes them each rep).
     uint64_t raw_matches = 0;
     for (uint64_t i = 0; i < kValues; ++i) {
@@ -323,22 +323,25 @@ void RunWallClockScan(std::ofstream& json) {
     KernelTiming timing;
     timing.name = "full decode + sum";
     volatile int64_t sink = 0;
-    timing.raw_gbps = MeasureGbps(kRawBytes, kReps, [&] {
-      int64_t sum = 0;
-      for (uint64_t i = 0; i < kValues; ++i) sum += raw[i];
-      sink = sum;
-    });
     constexpr uint64_t kBlock = 64 * 1024;
     std::vector<int32_t> buffer(kBlock);
-    timing.encoded_gbps = MeasureGbps(kRawBytes, kReps, [&] {
-      int64_t sum = 0;
-      for (uint64_t begin = 0; begin < kValues; begin += kBlock) {
-        const uint64_t end = std::min(kValues, begin + kBlock);
-        encoded.Decode(begin, end, buffer.data());
-        for (uint64_t i = 0; i < end - begin; ++i) sum += buffer[i];
-      }
-      sink = sum;
-    });
+    MeasureGbps(
+        kRawBytes, kReps,
+        [&] {
+          int64_t sum = 0;
+          for (uint64_t i = 0; i < kValues; ++i) sum += raw[i];
+          sink = sum;
+        },
+        [&] {
+          int64_t sum = 0;
+          for (uint64_t begin = 0; begin < kValues; begin += kBlock) {
+            const uint64_t end = std::min(kValues, begin + kBlock);
+            encoded.Decode(begin, end, buffer.data());
+            for (uint64_t i = 0; i < end - begin; ++i) sum += buffer[i];
+          }
+          sink = sum;
+        },
+        &timing);
     kernels.push_back(timing);
   }
 

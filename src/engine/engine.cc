@@ -10,8 +10,6 @@
 
 namespace pmemolap {
 
-using ssb::QueryId;
-
 const char* EngineModeName(EngineMode mode) {
   switch (mode) {
     case EngineMode::kPmemAware:
@@ -98,18 +96,8 @@ Status SsbEngine::Prepare() {
                       config_.use_both_sockets)
                          ? topology.sockets()
                          : 1;
-
-  // Aware mode replicates the dimension indexes per socket (§6.2) so
-  // every worker probes a near copy; the unaware engine keeps one copy.
-  int replicas = config_.mode == EngineMode::kPmemAware &&
-                         config_.numa_aware_placement
-                     ? sockets_used
-                     : 1;
   guarded_fact_.reset();
-  guarded_date_.reset();
-  guarded_customer_.reset();
-  guarded_supplier_.reset();
-  guarded_part_.reset();
+  for (DimensionState& dim : dims_) dim.guarded.reset();
   const bool guarded = config_.fault != nullptr;
   PmemSpace* space = guarded ? config_.fault->space : nullptr;
   FaultInjector* injector = guarded ? config_.fault->injector : nullptr;
@@ -117,72 +105,61 @@ Status SsbEngine::Prepare() {
     return Status::InvalidArgument(
         "fault domain needs a space and an injector");
   }
-  // Each dimension's keys and encoded payloads feed three structures: the
-  // Dash/chained index replicas, which price the probes (StorageBytes,
+  // Each dimension's keys and encoded payloads feed three structures: one
+  // Dash/chained index, built only to price the probes (StorageBytes,
   // probe_cost); the dense map the kernels probe; and, in fault mode, the
   // guarded per-socket payload replicas. There the dense map holds
   // positions into those replicas instead of payloads, so every probe
   // stage goes through the poison-aware failover path.
-  std::vector<int32_t> keys;
-  std::vector<uint64_t> payloads;
-  auto reset = [&](size_t n) {
-    keys.clear();
-    payloads.clear();
-    keys.reserve(n);
-    payloads.reserve(n);
-  };
-  auto build_dimension =
-      [&](ReplicatedIndex* index, DenseDimMap* dense,
-          std::unique_ptr<GuardedDimension>* guarded_dim) -> Status {
-    index->copies.clear();
-    for (int r = 0; r < replicas; ++r) {
-      index->copies.push_back(std::make_unique<DimensionIndex>(kind));
-      for (size_t i = 0; i < keys.size(); ++i) {
-        PMEMOLAP_RETURN_NOT_OK(index->copies.back()->Insert(
-            static_cast<uint64_t>(keys[i]), payloads[i]));
-      }
+  for (int d = 0; d < ssb::kNumDimensions; ++d) {
+    std::vector<int32_t> keys;
+    std::vector<uint64_t> payloads;
+    switch (static_cast<ssb::Dimension>(d)) {
+      case ssb::Dimension::kDate:
+        for (const ssb::DateRow& row : db_->date) {
+          keys.push_back(row.datekey);
+          payloads.push_back(EncodeDate(row));
+        }
+        break;
+      case ssb::Dimension::kCustomer:
+        for (const ssb::CustomerRow& row : db_->customer) {
+          keys.push_back(row.custkey);
+          payloads.push_back(EncodeGeo(row.nation, row.region, row.city));
+        }
+        break;
+      case ssb::Dimension::kSupplier:
+        for (const ssb::SupplierRow& row : db_->supplier) {
+          keys.push_back(row.suppkey);
+          payloads.push_back(EncodeGeo(row.nation, row.region, row.city));
+        }
+        break;
+      case ssb::Dimension::kPart:
+        for (const ssb::PartRow& row : db_->part) {
+          keys.push_back(row.partkey);
+          payloads.push_back(EncodePart(row));
+        }
+        break;
     }
+    DimensionState& dim = dims_[static_cast<size_t>(d)];
+    DimensionIndex index(kind);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      PMEMOLAP_RETURN_NOT_OK(
+          index.Insert(static_cast<uint64_t>(keys[i]), payloads[i]));
+    }
+    dim.index_bytes = index.StorageBytes();
+    dim.probe_cost = index.probe_cost();
     if (!guarded) {
-      dense->Build(keys, payloads);
-      return Status::OK();
+      dim.map.Build(keys, payloads);
+      continue;
     }
     std::vector<uint64_t> positions(payloads.size());
     std::iota(positions.begin(), positions.end(), uint64_t{0});
-    dense->Build(keys, positions);
+    dim.map.Build(keys, positions);
     PMEMOLAP_ASSIGN_OR_RETURN(
-        *guarded_dim, GuardedDimension::Create(space, injector,
-                                               std::move(payloads),
-                                               config_.media));
-    return Status::OK();
-  };
-  reset(db_->date.size());
-  for (const ssb::DateRow& d : db_->date) {
-    keys.push_back(d.datekey);
-    payloads.push_back(EncodeDate(d));
+        dim.guarded, GuardedDimension::Create(space, injector,
+                                              std::move(payloads),
+                                              config_.media));
   }
-  PMEMOLAP_RETURN_NOT_OK(
-      build_dimension(&date_index_, &date_dense_, &guarded_date_));
-  reset(db_->customer.size());
-  for (const ssb::CustomerRow& c : db_->customer) {
-    keys.push_back(c.custkey);
-    payloads.push_back(EncodeGeo(c.nation, c.region, c.city));
-  }
-  PMEMOLAP_RETURN_NOT_OK(build_dimension(&customer_index_, &customer_dense_,
-                                         &guarded_customer_));
-  reset(db_->supplier.size());
-  for (const ssb::SupplierRow& s : db_->supplier) {
-    keys.push_back(s.suppkey);
-    payloads.push_back(EncodeGeo(s.nation, s.region, s.city));
-  }
-  PMEMOLAP_RETURN_NOT_OK(build_dimension(&supplier_index_, &supplier_dense_,
-                                         &guarded_supplier_));
-  reset(db_->part.size());
-  for (const ssb::PartRow& p : db_->part) {
-    keys.push_back(p.partkey);
-    payloads.push_back(EncodePart(p));
-  }
-  PMEMOLAP_RETURN_NOT_OK(
-      build_dimension(&part_index_, &part_dense_, &guarded_part_));
   if (guarded) {
     // The fact table's byte image, striped and CRC-chunked; db_ stays the
     // repair source (the stand-in for reloading from primary storage).
@@ -194,12 +171,10 @@ Status SsbEngine::Prepare() {
             db_->lineorder.size() * sizeof(ssb::LineorderRow),
             config_.fault->fact_options));
     if (config_.fault->breakers != nullptr) {
-      BreakerBoard* breakers = config_.fault->breakers;
-      guarded_fact_->AttachBreakers(breakers);
-      guarded_date_->AttachBreakers(breakers);
-      guarded_customer_->AttachBreakers(breakers);
-      guarded_supplier_->AttachBreakers(breakers);
-      guarded_part_->AttachBreakers(breakers);
+      guarded_fact_->AttachBreakers(config_.fault->breakers);
+      for (DimensionState& dim : dims_) {
+        dim.guarded->AttachBreakers(config_.fault->breakers);
+      }
     }
   }
   int workers_per_socket =
@@ -245,38 +220,21 @@ Status SsbEngine::Prepare() {
   return Status::OK();
 }
 
-uint64_t SsbEngine::ScanBytesPerTuple(ssb::QueryId query) const {
-  if (!config_.columnar) return sizeof(ssb::LineorderRow);
-  // Column widths actually touched per flight (4 B ints, 8 B orderkey not
-  // needed by any query):
-  //  QF1: orderdate, discount, quantity, extendedprice
-  //  QF2: partkey, suppkey, orderdate, revenue
-  //  QF3: custkey, suppkey, orderdate, revenue
-  //  QF4.1/2: custkey, suppkey, partkey, orderdate, revenue, supplycost
-  //  QF4.3: suppkey, partkey, orderdate, revenue, supplycost
-  switch (ssb::FlightOf(query)) {
-    case 1:
-    case 2:
-    case 3:
-      return 16;
-    default:
-      return query == ssb::QueryId::kQ4_3 ? 20 : 24;
-  }
-}
-
-uint64_t SsbEngine::ScanBytesForTuples(ssb::QueryId query,
-                                       uint64_t tuples) const {
-  if (!config_.encoding || encoded_.empty()) {
-    return tuples * ScanBytesPerTuple(query);
-  }
+uint64_t SsbEngine::ScanBytes(
+    const std::vector<ssb::LineorderColumn>& columns, uint64_t tuples) const {
+  if (!config_.columnar) return tuples * sizeof(ssb::LineorderRow);
   // Encoded layout: sum the real per-column encoded widths of the
   // columns this query's scan touches (fractional bytes per tuple).
-  return encoded_.ScanBytes(ssb::ScanColumnsFor(query), tuples);
+  if (config_.encoding && !encoded_.empty()) {
+    return encoded_.ScanBytes(columns, tuples);
+  }
+  return tuples * sizeof(int32_t) * columns.size();
 }
 
 void SsbEngine::RecordSocketTraffic(
-    ssb::QueryId query, int socket, const TupleRange& scanned,
-    const ProbeCounters& probes, uint64_t qualifying, int threads_per_socket,
+    const std::vector<ssb::LineorderColumn>& columns, int socket,
+    const TupleRange& scanned, const KernelCounters& counters,
+    int threads_per_socket,
     const governor::GovernorDecision* decision,
     const tiering::TieringSnapshot* tiers,
     ExecutionProfile* profile) const {
@@ -295,7 +253,7 @@ void SsbEngine::RecordSocketTraffic(
       decision != nullptr && decision->write_threads > 0
           ? std::min(threads_per_socket, decision->write_threads)
           : threads_per_socket;
-  uint64_t scan_bytes = ScanBytesForTuples(query, tuples);
+  uint64_t scan_bytes = ScanBytes(columns, tuples);
 
   // Fact scan.
   if (aware && config_.use_both_sockets && !config_.numa_aware_placement) {
@@ -367,10 +325,12 @@ void SsbEngine::RecordSocketTraffic(
 
   // Dimension probes. Aware mode replicates indexes per socket (near);
   // without NUMA-aware placement the single copy lives on socket 0.
-  auto record_probes = [&](const DimensionIndex& index, uint64_t count,
-                           const char* label) {
-    if (count == 0) return;
-    ProbeCost cost = index.probe_cost();
+  for (int d = 0; d < ssb::kNumDimensions; ++d) {
+    const uint64_t count = counters.probes[static_cast<size_t>(d)];
+    if (count == 0) continue;
+    const char* label = ssb::DimensionName(static_cast<ssb::Dimension>(d));
+    const DimensionState& dim = dims_[static_cast<size_t>(d)];
+    const ProbeCost& cost = dim.probe_cost;
     TrafficRecord probe;
     probe.op = OpType::kRead;
     probe.pattern = Pattern::kRandom;
@@ -384,50 +344,42 @@ void SsbEngine::RecordSocketTraffic(
         std::llround(static_cast<double>(count) * cost.accesses_per_probe *
                      static_cast<double>(cost.access_bytes)));
     probe.access_size = cost.access_bytes;
-    probe.region_bytes = std::max<uint64_t>(index.StorageBytes(), kMiB);
+    probe.region_bytes = std::max<uint64_t>(dim.index_bytes, kMiB);
     probe.threads = threads_per_socket;
     probe.label = std::string("probe-") + label;
     profile->Record(std::move(probe));
-  };
-  record_probes(date_index_.Near(socket), probes.date, "date");
-  record_probes(customer_index_.Near(socket), probes.customer, "customer");
-  record_probes(supplier_index_.Near(socket), probes.supplier, "supplier");
-  record_probes(part_index_.Near(socket), probes.part, "part");
+  }
 
   // The unaware engine executes joins Hyrise-style: every join pass fully
   // materializes its intermediate (position lists + output columns) in the
   // configured media and re-reads it for the next pass — small scattered
   // writes that are brutal on PMEM. The aware engine streams per-worker
   // intermediates instead (recorded below).
-  if (!aware) {
-    auto record_materialize = [&](uint64_t rows_into_pass,
-                                  const char* label) {
-      if (rows_into_pass == 0) return;
-      TrafficRecord write;
-      write.op = OpType::kWrite;
-      write.pattern = Pattern::kRandom;
-      write.media = intermediate_media;
-      write.data_socket = socket;
-      write.worker_socket = socket;
-      write.bytes = rows_into_pass * 13;
-      write.access_size = 64;
-      write.region_bytes = 2 * kGiB;
-      write.threads = write_threads;
-      write.label = std::string("materialize-") + label;
-      TrafficRecord read = write;
-      read.op = OpType::kRead;
-      read.threads = threads_per_socket;  // only writers are clamped
-      profile->Record(std::move(write));
-      profile->Record(std::move(read));
-    };
-    record_materialize(probes.date, "date");
-    record_materialize(probes.customer, "customer");
-    record_materialize(probes.supplier, "supplier");
-    record_materialize(probes.part, "part");
+  for (int d = 0; d < ssb::kNumDimensions && !aware; ++d) {
+    const uint64_t rows_into_pass = counters.probes[static_cast<size_t>(d)];
+    if (rows_into_pass == 0) continue;
+    const char* label = ssb::DimensionName(static_cast<ssb::Dimension>(d));
+    TrafficRecord write;
+    write.op = OpType::kWrite;
+    write.pattern = Pattern::kRandom;
+    write.media = intermediate_media;
+    write.data_socket = socket;
+    write.worker_socket = socket;
+    write.bytes = rows_into_pass * 13;
+    write.access_size = 64;
+    write.region_bytes = 2 * kGiB;
+    write.threads = write_threads;
+    write.label = std::string("materialize-") + label;
+    TrafficRecord read = write;
+    read.op = OpType::kRead;
+    read.threads = threads_per_socket;  // only writers are clamped
+    profile->Record(std::move(write));
+    profile->Record(std::move(read));
   }
 
   // Group-aggregate updates: random read+write into the (small) result
   // hash; intermediates: sequential per-worker writes.
+  const uint64_t qualifying = counters.qualifying;
   if (qualifying > 0) {
     TrafficRecord agg;
     agg.op = OpType::kRead;
@@ -461,27 +413,24 @@ void SsbEngine::RecordSocketTraffic(
   }
 }
 
-Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
+Status SsbEngine::ExecuteRangeInto(const ssb::StarQuery& query, size_t slot,
                                    const TupleRange& range,
                                    uint64_t snapshot_epoch, WorkerState* state,
                                    const CancelCheck& cancel) const {
-  if (state->probes.size() < partitions_.size()) {
-    state->probes.resize(partitions_.size());
-    state->qualifying.resize(partitions_.size(), 0);
+  if (state->counters.size() < partitions_.size()) {
+    state->counters.resize(partitions_.size());
   }
   KernelContext ctx;
-  // Decode-on-scan: with encoding on, the kernels read block-decoded
-  // frames (and run flight-1 predicates on the encoded data directly)
-  // instead of the raw columns. Same values, bit-identical results.
+  // With encoding on, the kernels read the encoded frames instead of the
+  // raw columns. Same values, bit-identical results.
   ctx.encoded =
       config_.encoding && !encoded_.empty() ? &encoded_ : nullptr;
-  ctx.date = {&date_dense_, guarded_date_.get()};
-  ctx.customer = {&customer_dense_, guarded_customer_.get()};
-  ctx.supplier = {&supplier_dense_, guarded_supplier_.get()};
-  ctx.part = {&part_dense_, guarded_part_.get()};
+  for (size_t d = 0; d < dims_.size(); ++d) {
+    ctx.dims[d] = {&dims_[d].map, dims_[d].guarded.get()};
+  }
   // Guarded probes read the partition's near replicas first.
   ctx.socket = partitions_[slot].socket;
-  KernelCounters counters;
+  KernelCounters& counters = state->counters[slot];
   if (guarded_fact_ != nullptr || config_.durable != nullptr) {
     // Row-image sources, one read per block: the guarded fact image
     // (retried, scrubbed or repaired as needed) or the pinned durable
@@ -503,29 +452,21 @@ Status SsbEngine::ExecuteRangeInto(ssb::QueryId query, size_t slot,
       ctx.rows_base = begin;
       PMEMOLAP_RETURN_NOT_OK(ExecuteMorselKernel(
           query, ctx, begin, end, &state->scratch, &state->groups,
-          &state->scalar_sum, &state->scalar, &counters));
+          &state->scalar_sum, &counters));
     }
-  } else {
-    ctx.columns = &columns_;
-    PMEMOLAP_RETURN_NOT_OK(ExecuteMorselKernel(
-        query, ctx, range.begin, range.end, &state->scratch, &state->groups,
-        &state->scalar_sum, &state->scalar, &counters));
+    return Status::OK();
   }
-  ProbeCounters& probes = state->probes[slot];
-  probes.date += counters.date_probes;
-  probes.customer += counters.customer_probes;
-  probes.supplier += counters.supplier_probes;
-  probes.part += counters.part_probes;
-  state->qualifying[slot] += counters.qualifying;
-  return Status::OK();
+  ctx.columns = &columns_;
+  return ExecuteMorselKernel(query, ctx, range.begin, range.end,
+                             &state->scratch, &state->groups,
+                             &state->scalar_sum, &counters);
 }
 
-ssb::QueryOutput SsbEngine::DrainWorkerOutput(WorkerState* state) {
+ssb::QueryOutput SsbEngine::DrainWorkerOutput(bool scalar,
+                                              WorkerState* state) {
   ssb::QueryOutput out;
-  if (state->scalar) {
-    out.scalar = true;
-    out.value += state->scalar_sum;
-  }
+  out.scalar = scalar;
+  out.value = state->scalar_sum;
   state->groups.MergeInto(&out.groups);
   return out;
 }
@@ -580,9 +521,16 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(ssb::QueryId query) const {
 
 Result<SsbEngine::QueryRun> SsbEngine::Execute(
     ssb::QueryId query, const qos::QueryOptions& options) const {
+  return Execute(ssb::StarQueryFor(query), options);
+}
+
+Result<SsbEngine::QueryRun> SsbEngine::Execute(
+    const ssb::StarQuery& query, const qos::QueryOptions& options) const {
   if (!prepared_) {
     return Status::FailedPrecondition("call Prepare() before Execute()");
   }
+  PMEMOLAP_RETURN_NOT_OK(ssb::Validate(query));
+  const std::vector<ssb::LineorderColumn> scan_columns = query.ScanColumns();
   // Progress is published on every exit path — a deadline-killed query
   // still reports how far it got.
   qos::QueryProgress progress;
@@ -735,9 +683,9 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
         }
         xpline_amplified_bytes =
             TornBoundaries(plan, encoding::kFrameValues) * kXPLineBytes *
-            ssb::ScanColumnsFor(query).size();
+            scan_columns.size();
       } else {
-        const uint64_t bpt = ScanBytesPerTuple(query);
+        const uint64_t bpt = ScanBytes(scan_columns, 1);
         if (decision.shape_morsels) {
           // Snap boundaries to XPLines before quarantine reassignment —
           // reassignment breaks the queue contiguity shaping relies on.
@@ -804,31 +752,26 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
 
   // Fold worker states: outputs merge commutatively; probe/qualifying
   // counts roll up per partition slot for the traffic records.
-  std::vector<ProbeCounters> slot_probes(slots);
-  std::vector<uint64_t> slot_qualifying(slots, 0);
+  std::vector<KernelCounters> slot_counters(slots);
   std::vector<ssb::QueryOutput> partials;
   partials.reserve(states.size());
   for (WorkerState& state : states) {
-    for (size_t slot = 0; slot < state.probes.size(); ++slot) {
-      slot_probes[slot].date += state.probes[slot].date;
-      slot_probes[slot].customer += state.probes[slot].customer;
-      slot_probes[slot].supplier += state.probes[slot].supplier;
-      slot_probes[slot].part += state.probes[slot].part;
-      slot_qualifying[slot] += state.qualifying[slot];
+    for (size_t slot = 0; slot < state.counters.size(); ++slot) {
+      slot_counters[slot] += state.counters[slot];
     }
-    partials.push_back(DrainWorkerOutput(&state));
+    partials.push_back(DrainWorkerOutput(query.group_by.empty(), &state));
   }
   run.output = ssb::MergeOutputs(partials);
 
   for (size_t slot = 0; slot < slots; ++slot) {
     const SocketPartition& partition = partitions_[slot];
     const TupleRange scanned = clamp_range(partition.tuples);
-    RecordSocketTraffic(query, partition.socket, scanned, slot_probes[slot],
-                        slot_qualifying[slot], threads_per_socket,
+    RecordSocketTraffic(scan_columns, partition.socket, scanned,
+                        slot_counters[slot], threads_per_socket,
                         decision_ptr, tiers_ptr, &run.profile);
     run.cpu.tuples_scanned += scanned.size();
-    run.cpu.probes += slot_probes[slot].total();
-    run.cpu.agg_updates += slot_qualifying[slot];
+    run.cpu.probes += slot_counters[slot].total_probes();
+    run.cpu.agg_updates += slot_counters[slot].qualifying;
   }
 
   if (xpline_amplified_bytes > 0) {
@@ -838,7 +781,7 @@ Result<SsbEngine::QueryRun> SsbEngine::Execute(
     uint64_t fact_bytes = 0;
     for (const SocketPartition& partition : partitions_) {
       fact_bytes +=
-          ScanBytesForTuples(query, clamp_range(partition.tuples).size());
+          ScanBytes(scan_columns, clamp_range(partition.tuples).size());
     }
     TrafficRecord torn;
     torn.op = OpType::kRead;

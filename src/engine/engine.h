@@ -15,6 +15,7 @@
 // to the paper's sf 50 / sf 100 — through the MemSystemModel.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,6 +42,7 @@
 #include "ssb/dbgen.h"
 #include "ssb/encoded_column_store.h"
 #include "ssb/queries.h"
+#include "ssb/star_query.h"
 #include "tiering/tier_manager.h"
 
 namespace pmemolap {
@@ -97,11 +99,12 @@ struct EngineConfig {
   bool vectorized = true;
   /// Scan the compressed encoded column store (src/encoding): each
   /// lineorder column is FoR-bit-packed, dictionary-encoded, or raw —
-  /// whichever is smallest — at Prepare; the vectorized kernels
-  /// block-decode frames on scan (flight-1 predicates run against the
-  /// encoded frames directly) and fact-scan traffic is priced at the
-  /// per-column *encoded* byte widths, so modeled seconds drop by the
-  /// bytes the encodings save. Requires `columnar` (encoded pricing is a
+  /// whichever is smallest — at Prepare; a query's first read runs on
+  /// the encoded frames (a fact range predicate directly, a dimension key
+  /// by block decode), later columns are gathered at the surviving
+  /// positions, and fact-scan traffic is priced at the per-column
+  /// *encoded* byte widths, so modeled seconds drop by the bytes the
+  /// encodings save. Requires `columnar` (encoded pricing is a
   /// column-width refinement); incompatible with fault/durable modes
   /// (both read the guarded/durable row image). Results are bit-identical
   /// to the raw path in both executor modes; off reproduces today's
@@ -184,17 +187,22 @@ class SsbEngine {
     qos::QueryProgress progress;
   };
 
-  /// Executes one query functionally and projects its runtime.
+  /// Executes one SSB query functionally and projects its runtime.
   Result<QueryRun> Execute(ssb::QueryId query) const;
 
-  /// Execute under query-lifecycle controls: the query is admitted
+  /// Execute(ssb::StarQueryFor(query), options).
+  Result<QueryRun> Execute(ssb::QueryId query,
+                           const qos::QueryOptions& options) const;
+
+  /// Executes any valid star query (InvalidArgument otherwise) under
+  /// query-lifecycle controls: the query is admitted
   /// through config().admission (if set) at options.priority, its
   /// deadline/retry budget is armed on a cancel token checked *between*
   /// morsels (a kernel never tears mid-morsel), and partial progress is
   /// reported through options.progress and QueryRun::progress. Expired
   /// deadlines return kDeadlineExceeded; shed admissions return
   /// kResourceExhausted.
-  Result<QueryRun> Execute(ssb::QueryId query,
+  Result<QueryRun> Execute(const ssb::StarQuery& query,
                            const qos::QueryOptions& options) const;
 
   /// Durable mode: appends `count` rows as one crash-consistent ingest
@@ -223,24 +231,14 @@ class SsbEngine {
   /// exposed it instead of silently recording violations.
   Status CheckDurabilityOracle() const;
 
-  struct ProbeCounters {
-    uint64_t date = 0;
-    uint64_t customer = 0;
-    uint64_t supplier = 0;
-    uint64_t part = 0;
-    uint64_t total() const { return date + customer + supplier + part; }
-  };
-
   /// Accumulator of one host worker. A worker may execute morsels of
   /// several sockets (stealing), so probe/qualifying counts are kept per
   /// partition slot — the per-socket traffic records stay deterministic
   /// under any steal schedule.
   struct WorkerState {
-    AggTable groups;          ///< grouped sums (flights 2-4)
-    int64_t scalar_sum = 0;   ///< flight-1 sum
-    bool scalar = false;
-    std::vector<ProbeCounters> probes;  ///< per partition slot
-    std::vector<uint64_t> qualifying;   ///< per partition slot
+    AggTable groups;          ///< grouped sums
+    int64_t scalar_sum = 0;   ///< a scalar query's sum
+    std::vector<KernelCounters> counters;  ///< per partition slot
     KernelScratch scratch;
     /// Fault and durable modes: the block of fact rows the kernels read,
     /// refilled by one guarded Read or ReadSnapshot per kRowBlockRows.
@@ -249,7 +247,7 @@ class SsbEngine {
 
   /// Rows per guarded or durable row-image read: 256 KiB of 128 B rows,
   /// small enough to stay cache-resident while the kernels transpose the
-  /// flight's columns out of it.
+  /// query's columns out of it.
   static constexpr uint64_t kRowBlockRows = 2048;
 
   /// Executes tuples [range) of partition slot `slot` into `state`
@@ -258,14 +256,14 @@ class SsbEngine {
   /// the guarded fact image or out of `snapshot_epoch` (ignored
   /// otherwise); an unrecoverable fault or a failed snapshot read
   /// surfaces as the returned Status.
-  Status ExecuteRangeInto(ssb::QueryId query, size_t slot,
+  Status ExecuteRangeInto(const ssb::StarQuery& query, size_t slot,
                           const TupleRange& range, uint64_t snapshot_epoch,
                           WorkerState* state,
                           const CancelCheck& cancel = CancelCheck()) const;
 
   /// The partial QueryOutput a worker contributed (merges the flat agg
   /// table into the ordered map).
-  static ssb::QueryOutput DrainWorkerOutput(WorkerState* state);
+  static ssb::QueryOutput DrainWorkerOutput(bool scalar, WorkerState* state);
 
   /// Emits the traffic records for one socket's share of the work —
   /// `scanned` is the (window/snapshot-clamped) tuple range the socket's
@@ -274,40 +272,41 @@ class SsbEngine {
   /// clamp to the decision's writer-thread count. A non-null `tiers`
   /// placement snapshot splits the fact-scan bytes across the tiers the
   /// scanned extents occupy (DRAM/PMEM/SSD media records).
-  void RecordSocketTraffic(ssb::QueryId query, int socket,
-                           const TupleRange& scanned,
-                           const ProbeCounters& probes, uint64_t qualifying,
+  void RecordSocketTraffic(const std::vector<ssb::LineorderColumn>& columns,
+                           int socket, const TupleRange& scanned,
+                           const KernelCounters& counters,
                            int threads_per_socket,
                            const governor::GovernorDecision* decision,
                            const tiering::TieringSnapshot* tiers,
                            ExecutionProfile* profile) const;
 
-  /// Bytes of fact data one tuple contributes to the scan: the padded row
-  /// (128 B) in row layout, or the width of the query's accessed columns
-  /// in columnar layout.
-  uint64_t ScanBytesPerTuple(ssb::QueryId query) const;
+  /// Fact bytes a scan of `tuples` tuples over `columns` (the query's
+  /// ScanColumns) moves: the padded 128 B row in row layout, 4 B per
+  /// column in columnar layout, or the per-column encoded widths when
+  /// encoding is on.
+  uint64_t ScanBytes(const std::vector<ssb::LineorderColumn>& columns,
+                     uint64_t tuples) const;
 
-  /// Fact bytes a scan of `tuples` tuples moves: encoded per-column
-  /// widths when encoding is on, tuples * ScanBytesPerTuple otherwise.
-  uint64_t ScanBytesForTuples(ssb::QueryId query, uint64_t tuples) const;
-
-  /// One replica per socket in aware multi-socket mode (the paper
-  /// replicates the dimensions so probes stay near, §6.2), one shared
-  /// copy otherwise.
-  struct ReplicatedIndex {
-    std::vector<std::unique_ptr<DimensionIndex>> copies;
-    const DimensionIndex& Near(int socket) const {
-      return *copies[static_cast<size_t>(socket) % copies.size()];
-    }
+  /// One dimension's state. The dense map is what the kernels probe: key
+  /// -> encoded payload, or key -> position into the guarded payload
+  /// replicas in fault mode. The probes are priced as Dash (aware) or
+  /// chained (unaware) index probes; `index_bytes` and `probe_cost` are
+  /// the figures of that index, built once in Prepare. Aware mode
+  /// replicates the index per socket (§6.2), and the replicas are
+  /// identical, so one build prices them all. Governor staging changes
+  /// only the media RecordSocketTraffic prices probes at, never the
+  /// values probed.
+  struct DimensionState {
+    DenseDimMap map;
+    std::unique_ptr<GuardedDimension> guarded;
+    uint64_t index_bytes = 0;
+    ProbeCost probe_cost;
   };
 
   const ssb::Database* db_;
   const MemSystemModel* model_;
   EngineConfig config_;
-  ReplicatedIndex date_index_;
-  ReplicatedIndex customer_index_;
-  ReplicatedIndex supplier_index_;
-  ReplicatedIndex part_index_;
+  std::array<DimensionState, ssb::kNumDimensions> dims_;
   std::vector<SocketPartition> partitions_;
   /// Columnar projection the kernels scan (built in Prepare outside fault
   /// and durable modes: those read the guarded or durable row image).
@@ -315,25 +314,11 @@ class SsbEngine {
   /// Compressed view of columns_ (EngineConfig::encoding): scheme picked
   /// per column at Prepare.
   ssb::EncodedColumnStore encoded_;
-  /// Dense dimension maps the kernels probe: key -> encoded payload, or
-  /// key -> position into the guarded payload arrays in fault mode.
-  /// Governor staging changes only the media RecordSocketTraffic prices
-  /// probes at, never the values probed.
-  DenseDimMap date_dense_;
-  DenseDimMap customer_dense_;
-  DenseDimMap supplier_dense_;
-  DenseDimMap part_dense_;
   /// The persistent work-stealing executor (kMorselStealing only):
   /// spawned once in Prepare, reused by every Execute.
   std::unique_ptr<WorkStealingPool> pool_;
-  // Fault mode: the fact byte image lives in a CRC-guarded striped table
-  // and the dense maps hold positions into these guarded payload arrays
-  // (instead of the payloads themselves).
+  // Fault mode: the fact byte image lives in a CRC-guarded striped table.
   std::unique_ptr<GuardedTable> guarded_fact_;
-  std::unique_ptr<GuardedDimension> guarded_date_;
-  std::unique_ptr<GuardedDimension> guarded_customer_;
-  std::unique_ptr<GuardedDimension> guarded_supplier_;
-  std::unique_ptr<GuardedDimension> guarded_part_;
   bool prepared_ = false;
 };
 

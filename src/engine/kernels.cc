@@ -10,511 +10,216 @@ namespace pmemolap {
 namespace {
 
 using ssb::LineorderColumn;
-using ssb::QueryId;
 
-constexpr int kUnitedStates = 9;
-constexpr int kUnitedKingdom = 19;
-constexpr int kRegionAmerica = 1;
-constexpr int kRegionAsia = 2;
-constexpr int kRegionEurope = 3;
-
-const std::vector<int32_t>& RawColumn(const ssb::ColumnStore& columns,
-                                      LineorderColumn column) {
-  switch (column) {
-    case LineorderColumn::kOrderdate:
-      return columns.orderdate();
-    case LineorderColumn::kCustkey:
-      return columns.custkey();
-    case LineorderColumn::kPartkey:
-      return columns.partkey();
-    case LineorderColumn::kSuppkey:
-      return columns.suppkey();
-    case LineorderColumn::kQuantity:
-      return columns.quantity();
-    case LineorderColumn::kDiscount:
-      return columns.discount();
-    case LineorderColumn::kExtendedprice:
-      return columns.extendedprice();
-    case LineorderColumn::kRevenue:
-      return columns.revenue();
-    case LineorderColumn::kSupplycost:
-      return columns.supplycost();
-  }
-  return columns.orderdate();
-}
-
-/// The LineorderRow field a projected column is cut from.
-int32_t ssb::LineorderRow::*RowField(LineorderColumn column) {
-  switch (column) {
-    case LineorderColumn::kOrderdate:
-      return &ssb::LineorderRow::orderdate;
-    case LineorderColumn::kCustkey:
-      return &ssb::LineorderRow::custkey;
-    case LineorderColumn::kPartkey:
-      return &ssb::LineorderRow::partkey;
-    case LineorderColumn::kSuppkey:
-      return &ssb::LineorderRow::suppkey;
-    case LineorderColumn::kQuantity:
-      return &ssb::LineorderRow::quantity;
-    case LineorderColumn::kDiscount:
-      return &ssb::LineorderRow::discount;
-    case LineorderColumn::kExtendedprice:
-      return &ssb::LineorderRow::extendedprice;
-    case LineorderColumn::kRevenue:
-      return &ssb::LineorderRow::revenue;
-    case LineorderColumn::kSupplycost:
-      return &ssb::LineorderRow::supplycost;
-  }
-  return &ssb::LineorderRow::orderdate;
-}
-
-/// Copies `field` of rows[0, n) into out[0, n).
-void TransposeRows(const ssb::LineorderRow* rows, uint64_t n,
-                   int32_t ssb::LineorderRow::*field, int32_t* out) {
-  for (uint64_t i = 0; i < n; ++i) out[i] = rows[i].*field;
-}
-
-/// The morsel's view of one column: a zero-copy slice of the raw vector,
-/// or a copy of [begin, end) into the scratch buffer for that column —
-/// block-decoded from the encoded frames (decode-on-scan), or transposed
-/// out of the durable row block.
-ColumnSlice SliceFor(const KernelContext& ctx, LineorderColumn column,
-                     uint64_t begin, uint64_t end, KernelScratch* s) {
+/// Column `column` over the whole morsel: p[i - begin] is tuple i. The
+/// raw source is read in place; the encoded source is block-decoded and
+/// the row source transposed into `buffer`.
+const int32_t* ReadMorsel(const KernelContext& ctx, LineorderColumn column,
+                          uint64_t begin, uint64_t end,
+                          std::vector<int32_t>* buffer) {
   if (ctx.rows == nullptr && ctx.encoded == nullptr) {
-    return ColumnSlice{RawColumn(*ctx.columns, column).data(), 0};
+    return ctx.columns->column(column).data() + begin;
   }
-  std::vector<int32_t>& buffer = s->decoded[static_cast<size_t>(column)];
-  buffer.resize(end - begin);
+  buffer->resize(end - begin);
   if (ctx.rows != nullptr) {
-    TransposeRows(ctx.rows + (begin - ctx.rows_base), end - begin,
-                  RowField(column), buffer.data());
+    const ssb::LineorderRow* rows = ctx.rows + (begin - ctx.rows_base);
+    int32_t ssb::LineorderRow::*field = ssb::LineorderField(column);
+    for (uint64_t i = 0; i < end - begin; ++i) (*buffer)[i] = rows[i].*field;
   } else {
-    ctx.encoded->column(column).Decode(begin, end, buffer.data());
+    ctx.encoded->column(column).Decode(begin, end, buffer->data());
   }
-  return ColumnSlice{buffer.data(), begin};
+  return buffer->data();
 }
 
-/// Loads sel with every tuple of the morsel (stage-1 "probe all rows").
+/// Calls fn(at), with at(i) the value of `column` at tuple sel[i]: the
+/// raw column indexed in place, or `buffer` filled by a frame-cached
+/// gather (encoded) or off the surviving rows (row block). The source is
+/// chosen once per read, never per tuple.
+template <typename Fn>
+void AtSelected(const KernelContext& ctx, LineorderColumn column,
+                const std::vector<uint64_t>& sel, std::vector<int32_t>* buffer,
+                Fn fn) {
+  if (ctx.rows == nullptr && ctx.encoded == nullptr) {
+    const int32_t* data = ctx.columns->column(column).data();
+    const uint64_t* index = sel.data();
+    fn([data, index](size_t i) { return data[index[i]]; });
+    return;
+  }
+  if (ctx.rows == nullptr) {
+    ctx.encoded->column(column).GatherInto(sel, buffer);
+  } else {
+    buffer->resize(sel.size());
+    int32_t ssb::LineorderRow::*field = ssb::LineorderField(column);
+    for (size_t i = 0; i < sel.size(); ++i) {
+      (*buffer)[i] = ctx.rows[sel[i] - ctx.rows_base].*field;
+    }
+  }
+  const int32_t* values = buffer->data();
+  fn([values](size_t i) { return values[i]; });
+}
+
+/// Loads sel with every tuple of [begin, end).
 void SelectAll(uint64_t begin, uint64_t end, KernelScratch* s) {
   s->sel.resize(end - begin);
   for (uint64_t i = begin; i < end; ++i) s->sel[i - begin] = i;
 }
 
-/// Probes `dim` for the keys key_at(0..n), leaving the payloads in
-/// s->payloads. Counts n probes into `count`. In fault mode the dense map
-/// yields positions, resolved to payloads in one guarded batch.
-template <typename KeyAt>
-Status ProbeKeys(const KernelContext& ctx, const KernelDim& dim, size_t n,
-                 KeyAt key_at, KernelScratch* s, uint64_t* count) {
-  *count += n;
-  s->payloads.resize(n);
-  for (size_t i = 0; i < n; ++i) s->payloads[i] = dim.map->Lookup(key_at(i));
-  if (dim.guarded == nullptr) return Status::OK();
-  return dim.guarded->Payloads(ctx.socket, s->payloads);
+/// Selects the tuples of [begin, end) whose `p.column` lies in the range:
+/// on the encoded frames directly (frame skipping, dictionary code
+/// rewriting), or by one pass over the morsel's column.
+void ScanRange(const KernelContext& ctx, const ssb::FactPredicate& p,
+               uint64_t begin, uint64_t end, KernelScratch* s) {
+  s->sel.clear();
+  if (ctx.encoded != nullptr && ctx.rows == nullptr) {
+    ctx.encoded->column(p.column).AppendMatchingRange(p.lo, p.hi, begin, end,
+                                                      &s->sel);
+    return;
+  }
+  const int32_t* values = ReadMorsel(ctx, p.column, begin, end, &s->values);
+  s->sel.resize(end - begin);
+  uint64_t* sel = s->sel.data();
+  const int32_t lo = p.lo;
+  const int32_t hi = p.hi;
+  size_t out = 0;
+  for (uint64_t i = 0; i < end - begin; ++i) {
+    sel[out] = begin + i;
+    out += values[i] >= lo && values[i] <= hi;
+  }
+  s->sel.resize(out);
 }
 
-/// Probes `dim` with `col` at the sel positions, leaving payloads aligned
-/// with sel.
-Status ProbeSelected(const KernelContext& ctx, const KernelDim& dim,
-                     ColumnSlice col, KernelScratch* s, uint64_t* count) {
-  return ProbeKeys(
-      ctx, dim, s->sel.size(), [&](size_t i) { return col[s->sel[i]]; }, s,
-      count);
-}
-
-/// Compacts sel by keep(payload). An existing carried attribute
-/// (`keep_attr`) is compacted alongside; when `out_attr` is non-null,
-/// carry(payload) is recorded for every survivor.
-template <typename Keep, typename Carry>
-void CompactStage(KernelScratch* s, std::vector<int32_t>* keep_attr,
-                  std::vector<int32_t>* out_attr, Keep keep, Carry carry) {
+/// Compacts sel, the stage's payloads and the `carried` payloads aligned
+/// with them to the entries whose payload passes keep().
+template <typename Keep>
+void Compact(KernelScratch* s, size_t carried, Keep keep) {
   const size_t n = s->sel.size();
-  if (out_attr != nullptr) out_attr->resize(n);
+  uint64_t* sel = s->sel.data();
+  uint64_t* payloads = s->payloads.data();
+  std::array<uint64_t*, 3> kept{};
+  for (size_t c = 0; c < carried; ++c) kept[c] = s->carried[c].data();
+  // Branch-free: every entry is copied to the output cursor, which only
+  // advances past the kept ones.
   size_t out = 0;
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t payload = s->payloads[i];
-    if (!keep(payload)) continue;
-    s->sel[out] = s->sel[i];
-    if (keep_attr != nullptr) (*keep_attr)[out] = (*keep_attr)[i];
-    if (out_attr != nullptr) {
-      (*out_attr)[out] = static_cast<int32_t>(carry(payload));
-    }
-    ++out;
+    const uint64_t payload = payloads[i];
+    sel[out] = sel[i];
+    payloads[out] = payload;
+    for (size_t c = 0; c < carried; ++c) kept[c][out] = kept[c][i];
+    out += keep(payload);
   }
   s->sel.resize(out);
-  if (keep_attr != nullptr) keep_attr->resize(out);
-  if (out_attr != nullptr) out_attr->resize(out);
+  s->payloads.resize(out);
+  for (size_t c = 0; c < carried; ++c) s->carried[c].resize(out);
 }
 
-constexpr auto kNoCarry = [](uint64_t) { return 0; };
-
-/// Final stage of the join flights: date probe per survivor, year
-/// filter, group-aggregate update.
-template <typename Keep, typename Key, typename Value>
-Status DateAggregate(const KernelContext& ctx, ColumnSlice orderdate,
-                     KernelScratch* s, AggTable* groups,
-                     KernelCounters* counters, Keep keep, Key key,
-                     Value value) {
-  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.date, orderdate, s,
-                                       &counters->date_probes));
-  for (size_t i = 0; i < s->sel.size(); ++i) {
-    const DateAttrs d = DecodeDate(s->payloads[i]);
-    if (!keep(d)) continue;
-    groups->Add(key(d, i), value(s->sel[i]));
-    ++counters->qualifying;
+/// One dimension stage: probe `dim` with key_at(i) for every selected
+/// tuple, then compact by each of the stage's predicates.
+template <typename KeyAt>
+Status RunStage(const ssb::DimensionStage& stage, const KernelContext& ctx,
+                KeyAt key_at, KernelScratch* s, size_t carried,
+                KernelCounters* counters) {
+  const KernelDim& dim = ctx.dims[static_cast<size_t>(stage.dim)];
+  const size_t n = s->sel.size();
+  counters->probes[static_cast<size_t>(stage.dim)] += n;
+  s->payloads.resize(n);
+  uint64_t* payloads = s->payloads.data();
+  for (size_t i = 0; i < n; ++i) payloads[i] = dim.map->Lookup(key_at(i));
+  if (dim.guarded != nullptr) {
+    PMEMOLAP_RETURN_NOT_OK(dim.guarded->Payloads(ctx.socket, s->payloads));
+  }
+  for (const ssb::AttrPredicate& p : stage.predicates) {
+    const PayloadField field = FieldOf(p.attr);
+    if (p.values.empty()) {
+      const int32_t lo = p.lo;
+      const int32_t hi = p.hi;
+      Compact(s, carried, [field, lo, hi](uint64_t payload) {
+        const int32_t v = field.Of(payload);
+        return v >= lo && v <= hi;
+      });
+      continue;
+    }
+    // A value set: compare against every member without an early exit,
+    // so the keep decision stays branch-free like the range's.
+    const int32_t* values = p.values.data();
+    const size_t count = p.values.size();
+    Compact(s, carried, [field, values, count](uint64_t payload) {
+      const int32_t v = field.Of(payload);
+      bool member = false;
+      for (size_t k = 0; k < count; ++k) member |= values[k] == v;
+      return member;
+    });
   }
   return Status::OK();
 }
 
-/// Flight-1 predicate bounds: discount in [d_lo, d_hi], quantity in
-/// [q_lo, q_hi] (Q1.1's `quantity < 25` as an inclusive range).
-struct Flight1Predicate {
-  int32_t d_lo, d_hi, q_lo, q_hi;
-};
-
-Flight1Predicate Flight1PredicateOf(QueryId query) {
-  switch (query) {
-    case QueryId::kQ1_1:
-      return {1, 3, std::numeric_limits<int32_t>::min(), 24};
-    case QueryId::kQ1_2:
-      return {4, 6, 26, 35};
-    default:  // kQ1_3
-      return {5, 7, 26, 35};
+/// Folds the surviving tuples into the scalar sum or the group table,
+/// with value(a(i), b(i)) the aggregate of the i-th survivor's inputs and
+/// its group key read off the carried payloads.
+template <typename A, typename B, typename Value>
+void Accumulate(const ssb::StarQuery& query, const KernelScratch& s,
+                const std::array<size_t, 3>& carrier, A a, B b, Value value,
+                AggTable* groups, int64_t* scalar_sum) {
+  const size_t n = s.sel.size();
+  if (query.group_by.empty()) {
+    int64_t sum = 0;
+    for (size_t i = 0; i < n; ++i) sum += value(a(i), b(i));
+    *scalar_sum += sum;
+    return;
+  }
+  const size_t slots = query.group_by.size();
+  std::array<PayloadField, 3> fields{};
+  std::array<const uint64_t*, 3> payloads{};
+  for (size_t g = 0; g < slots; ++g) {
+    fields[g] = FieldOf(query.group_by[g].attr);
+    payloads[g] = s.carried[carrier[g]].data();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ssb::GroupKey key{0, 0, 0};
+    for (size_t g = 0; g < slots; ++g) key[g] = fields[g].Of(payloads[g][i]);
+    groups->Add(key, value(a(i), b(i)));
   }
 }
 
-/// Flight-1 date filter + sum over the final selection, shared by the
-/// column-slice (raw or durable row block) and encoded paths.
-/// `orderdate_at`/`price_at`/`discount_at` map a sel position to the
-/// tuple's attribute values.
-template <typename Date, typename Price, typename Discount>
-Status Flight1Aggregate(QueryId query, const KernelContext& ctx,
-                        KernelScratch* s, int64_t* scalar_sum,
-                        KernelCounters* counters, Date orderdate_at,
-                        Price price_at, Discount discount_at) {
-  PMEMOLAP_RETURN_NOT_OK(ProbeKeys(ctx, ctx.date, s->sel.size(),
-                                   orderdate_at, s, &counters->date_probes));
-  int64_t sum = 0;
-  uint64_t qualifying = 0;
-  for (size_t i = 0; i < s->sel.size(); ++i) {
-    const uint64_t payload = s->payloads[i];
-    bool keep;
-    if (query == QueryId::kQ1_1) {
-      keep = (payload >> 40) == 1993;
-    } else if (query == QueryId::kQ1_2) {
-      keep = ((payload >> 16) & 0xFFFFFF) == 199401;
-    } else {
-      const DateAttrs d = DecodeDate(payload);
-      keep = d.week == 6 && d.year == 1994;
+template <typename Value>
+void AccumulateAt(const ssb::StarQuery& query, const KernelContext& ctx,
+                  KernelScratch* s, const std::array<size_t, 3>& carrier,
+                  Value value, AggTable* groups, int64_t* scalar_sum) {
+  const ssb::Aggregate& agg = query.aggregate;
+  AtSelected(ctx, agg.a, s->sel, &s->values, [&](auto a) {
+    if (agg.op == ssb::Aggregate::Op::kSum) {
+      Accumulate(query, *s, carrier, a, a, value, groups, scalar_sum);
+      return;
     }
-    if (!keep) continue;
-    sum += static_cast<int64_t>(price_at(i)) * discount_at(i);
-    ++qualifying;
-  }
-  *scalar_sum += sum;
-  counters->qualifying += qualifying;
-  return Status::OK();
-}
-
-/// Encoded flight 1: the discount range predicate runs directly against
-/// the encoded frames (FoR frame-skipping / dictionary code rewriting —
-/// no decode for frames whose bounds miss the range), the quantity
-/// refinement and the aggregate inputs come through frame-cached gathers
-/// at the surviving positions. Selection order and counts match the raw
-/// loop exactly.
-Status Flight1Encoded(QueryId query, const KernelContext& ctx,
-                      uint64_t begin, uint64_t end, KernelScratch* s,
-                      int64_t* scalar_sum, KernelCounters* counters) {
-  const ssb::EncodedColumnStore& enc = *ctx.encoded;
-  const Flight1Predicate pred = Flight1PredicateOf(query);
-
-  s->sel.clear();
-  enc.column(LineorderColumn::kDiscount)
-      .AppendMatchingRange(pred.d_lo, pred.d_hi, begin, end, &s->sel);
-  // Refine by quantity: gather at the discount survivors, compact.
-  enc.column(LineorderColumn::kQuantity).GatherInto(s->sel, &s->attr_a);
-  size_t out = 0;
-  for (size_t i = 0; i < s->sel.size(); ++i) {
-    if (s->attr_a[i] >= pred.q_lo && s->attr_a[i] <= pred.q_hi) {
-      s->sel[out++] = s->sel[i];
-    }
-  }
-  s->sel.resize(out);
-
-  enc.column(LineorderColumn::kOrderdate).GatherInto(s->sel, &s->attr_a);
-  enc.column(LineorderColumn::kExtendedprice)
-      .GatherInto(s->sel, &s->attr_b);
-  enc.column(LineorderColumn::kDiscount).GatherInto(s->sel, &s->attr_c);
-  return Flight1Aggregate(
-      query, ctx, s, scalar_sum, counters,
-      [&](size_t i) { return s->attr_a[i]; },
-      [&](size_t i) { return s->attr_b[i]; },
-      [&](size_t i) { return s->attr_c[i]; });
-}
-
-Status Flight1(QueryId query, const KernelContext& ctx, uint64_t begin,
-               uint64_t end, KernelScratch* s, int64_t* scalar_sum,
-               KernelCounters* counters) {
-  if (ctx.encoded != nullptr) {
-    return Flight1Encoded(query, ctx, begin, end, s, scalar_sum, counters);
-  }
-  const ColumnSlice discount =
-      SliceFor(ctx, LineorderColumn::kDiscount, begin, end, s);
-  const ColumnSlice quantity =
-      SliceFor(ctx, LineorderColumn::kQuantity, begin, end, s);
-  const ColumnSlice orderdate =
-      SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s);
-  const ColumnSlice price =
-      SliceFor(ctx, LineorderColumn::kExtendedprice, begin, end, s);
-
-  s->sel.clear();
-  switch (query) {
-    case QueryId::kQ1_1:
-      for (uint64_t i = begin; i < end; ++i) {
-        if (discount[i] >= 1 && discount[i] <= 3 && quantity[i] < 25) {
-          s->sel.push_back(i);
-        }
-      }
-      break;
-    case QueryId::kQ1_2:
-      for (uint64_t i = begin; i < end; ++i) {
-        if (discount[i] >= 4 && discount[i] <= 6 && quantity[i] >= 26 &&
-            quantity[i] <= 35) {
-          s->sel.push_back(i);
-        }
-      }
-      break;
-    default:  // kQ1_3
-      for (uint64_t i = begin; i < end; ++i) {
-        if (discount[i] >= 5 && discount[i] <= 7 && quantity[i] >= 26 &&
-            quantity[i] <= 35) {
-          s->sel.push_back(i);
-        }
-      }
-      break;
-  }
-
-  return Flight1Aggregate(
-      query, ctx, s, scalar_sum, counters,
-      [&](size_t i) { return orderdate[s->sel[i]]; },
-      [&](size_t i) { return price[s->sel[i]]; },
-      [&](size_t i) { return discount[s->sel[i]]; });
-}
-
-Status Flight2(QueryId query, const KernelContext& ctx, uint64_t begin,
-               uint64_t end, KernelScratch* s, AggTable* groups,
-               KernelCounters* counters) {
-  const ColumnSlice partkey =
-      SliceFor(ctx, LineorderColumn::kPartkey, begin, end, s);
-  const ColumnSlice suppkey =
-      SliceFor(ctx, LineorderColumn::kSuppkey, begin, end, s);
-  const ColumnSlice orderdate =
-      SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s);
-  const ColumnSlice revenue =
-      SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
-  SelectAll(begin, end, s);
-  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.part, partkey, s,
-                                       &counters->part_probes));
-  auto brand = [](uint64_t payload) {
-    return DecodePart(payload).brand_id;
-  };
-  if (query == QueryId::kQ2_1) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodePart(p).category_id == 12; },
-                 brand);
-  } else if (query == QueryId::kQ2_2) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [&](uint64_t p) {
-                   const int b = DecodePart(p).brand_id;
-                   return b >= 2221 && b <= 2228;
-                 },
-                 brand);
-  } else {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [&](uint64_t p) { return DecodePart(p).brand_id == 2239; },
-                 brand);
-  }
-
-  const int wanted_region = query == QueryId::kQ2_1   ? kRegionAmerica
-                            : query == QueryId::kQ2_2 ? kRegionAsia
-                                                      : kRegionEurope;
-  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.supplier, suppkey, s,
-                                       &counters->supplier_probes));
-  CompactStage(s, &s->attr_a, nullptr,
-               [&](uint64_t p) { return DecodeGeo(p).region == wanted_region; },
-               kNoCarry);
-
-  return DateAggregate(
-      ctx, orderdate, s, groups, counters,
-      [](const DateAttrs&) { return true; },
-      [&](const DateAttrs& d, size_t i) {
-        return ssb::GroupKey{d.year, s->attr_a[i], 0};
-      },
-      [&](uint64_t idx) { return static_cast<int64_t>(revenue[idx]); });
-}
-
-Status Flight3(QueryId query, const KernelContext& ctx, uint64_t begin,
-               uint64_t end, KernelScratch* s, AggTable* groups,
-               KernelCounters* counters) {
-  const ColumnSlice custkey =
-      SliceFor(ctx, LineorderColumn::kCustkey, begin, end, s);
-  const ColumnSlice suppkey =
-      SliceFor(ctx, LineorderColumn::kSuppkey, begin, end, s);
-  const ColumnSlice orderdate =
-      SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s);
-  const ColumnSlice revenue =
-      SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
-  SelectAll(begin, end, s);
-  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.customer, custkey, s,
-                                       &counters->customer_probes));
-  auto is_uk_city = [](int city_id) {
-    return city_id == ssb::CityId(kUnitedKingdom, 1) ||
-           city_id == ssb::CityId(kUnitedKingdom, 5);
-  };
-  // Customer stage: filter + carry the grouping attribute (attr_a).
-  if (query == QueryId::kQ3_1) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAsia; },
-                 [](uint64_t p) { return DecodeGeo(p).nation; });
-  } else if (query == QueryId::kQ3_2) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).nation == kUnitedStates; },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-  } else {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [&](uint64_t p) { return is_uk_city(DecodeGeo(p).city_id); },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-  }
-
-  // Supplier stage: filter + carry the second grouping attribute.
-  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.supplier, suppkey, s,
-                                       &counters->supplier_probes));
-  if (query == QueryId::kQ3_1) {
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAsia; },
-                 [](uint64_t p) { return DecodeGeo(p).nation; });
-  } else if (query == QueryId::kQ3_2) {
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [](uint64_t p) { return DecodeGeo(p).nation == kUnitedStates; },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-  } else {
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [&](uint64_t p) { return is_uk_city(DecodeGeo(p).city_id); },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-  }
-
-  auto keep_date = [&](const DateAttrs& d) {
-    if (query == QueryId::kQ3_4) return d.yearmonthnum == 199712;
-    return d.year >= 1992 && d.year <= 1997;
-  };
-  return DateAggregate(
-      ctx, orderdate, s, groups, counters, keep_date,
-      [&](const DateAttrs& d, size_t i) {
-        return ssb::GroupKey{s->attr_a[i], s->attr_b[i], d.year};
-      },
-      [&](uint64_t idx) { return static_cast<int64_t>(revenue[idx]); });
-}
-
-Status Flight4(QueryId query, const KernelContext& ctx, uint64_t begin,
-               uint64_t end, KernelScratch* s, AggTable* groups,
-               KernelCounters* counters) {
-  const ColumnSlice suppkey =
-      SliceFor(ctx, LineorderColumn::kSuppkey, begin, end, s);
-  const ColumnSlice partkey =
-      SliceFor(ctx, LineorderColumn::kPartkey, begin, end, s);
-  const ColumnSlice orderdate =
-      SliceFor(ctx, LineorderColumn::kOrderdate, begin, end, s);
-  const ColumnSlice revenue =
-      SliceFor(ctx, LineorderColumn::kRevenue, begin, end, s);
-  const ColumnSlice supplycost =
-      SliceFor(ctx, LineorderColumn::kSupplycost, begin, end, s);
-  SelectAll(begin, end, s);
-  auto profit = [&](uint64_t idx) {
-    return static_cast<int64_t>(revenue[idx]) - supplycost[idx];
-  };
-
-  if (query == QueryId::kQ4_3) {
-    // supplier (nation, carry city) -> part (category, carry brand) -> date
-    PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.supplier, suppkey, s,
-                                         &counters->supplier_probes));
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).nation == kUnitedStates; },
-                 [](uint64_t p) { return DecodeGeo(p).city_id; });
-    PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.part, partkey, s,
-                                         &counters->part_probes));
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [](uint64_t p) { return DecodePart(p).category_id == 14; },
-                 [](uint64_t p) { return DecodePart(p).brand_id; });
-    return DateAggregate(
-        ctx, orderdate, s, groups, counters,
-        [](const DateAttrs& d) { return d.year == 1997 || d.year == 1998; },
-        [&](const DateAttrs& d, size_t i) {
-          return ssb::GroupKey{d.year, s->attr_a[i], s->attr_b[i]};
-        },
-        profit);
-  }
-
-  // Q4.1 / Q4.2: customer -> supplier -> part -> date.
-  const ColumnSlice custkey =
-      SliceFor(ctx, LineorderColumn::kCustkey, begin, end, s);
-  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.customer, custkey, s,
-                                       &counters->customer_probes));
-  if (query == QueryId::kQ4_1) {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
-                 [](uint64_t p) { return DecodeGeo(p).nation; });
-  } else {
-    CompactStage(s, nullptr, nullptr,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
-                 kNoCarry);
-  }
-
-  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.supplier, suppkey, s,
-                                       &counters->supplier_probes));
-  if (query == QueryId::kQ4_1) {
-    CompactStage(s, &s->attr_a, nullptr,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
-                 kNoCarry);
-  } else {
-    CompactStage(s, nullptr, &s->attr_a,
-                 [](uint64_t p) { return DecodeGeo(p).region == kRegionAmerica; },
-                 [](uint64_t p) { return DecodeGeo(p).nation; });
-  }
-
-  PMEMOLAP_RETURN_NOT_OK(ProbeSelected(ctx, ctx.part, partkey, s,
-                                       &counters->part_probes));
-  if (query == QueryId::kQ4_1) {
-    CompactStage(s, &s->attr_a, nullptr,
-                 [](uint64_t p) {
-                   const int mfgr = DecodePart(p).mfgr;
-                   return mfgr == 1 || mfgr == 2;
-                 },
-                 kNoCarry);
-    return DateAggregate(
-        ctx, orderdate, s, groups, counters,
-        [](const DateAttrs&) { return true; },
-        [&](const DateAttrs& d, size_t i) {
-          return ssb::GroupKey{d.year, s->attr_a[i], 0};
-        },
-        profit);
-  } else {
-    CompactStage(s, &s->attr_a, &s->attr_b,
-                 [](uint64_t p) {
-                   const int mfgr = DecodePart(p).mfgr;
-                   return mfgr == 1 || mfgr == 2;
-                 },
-                 [](uint64_t p) { return DecodePart(p).category_id; });
-    return DateAggregate(
-        ctx, orderdate, s, groups, counters,
-        [](const DateAttrs& d) { return d.year == 1997 || d.year == 1998; },
-        [&](const DateAttrs& d, size_t i) {
-          return ssb::GroupKey{d.year, s->attr_a[i], s->attr_b[i]};
-        },
-        profit);
-  }
+    AtSelected(ctx, agg.b, s->sel, &s->values_b, [&](auto b) {
+      Accumulate(query, *s, carrier, a, b, value, groups, scalar_sum);
+    });
+  });
 }
 
 }  // namespace
+
+PayloadField FieldOf(ssb::Attr attr) {
+  switch (attr) {
+    case ssb::Attr::kYear:
+      return {40, 0xFFFF};
+    case ssb::Attr::kYearMonthNum:
+      return {16, 0xFFFFFF};
+    case ssb::Attr::kWeekNumInYear:
+      return {8, 0xFF};
+    case ssb::Attr::kMonthNumInYear:
+      return {0, 0xFF};
+    case ssb::Attr::kCity:
+    case ssb::Attr::kBrand:
+      return {16, 0xFFFF};
+    case ssb::Attr::kNation:
+    case ssb::Attr::kCategory:
+      return {8, 0xFF};
+    case ssb::Attr::kRegion:
+    case ssb::Attr::kMfgr:
+      return {0, 0xFF};
+  }
+  return {};
+}
 
 void DenseDimMap::Build(const std::vector<int32_t>& keys,
                         const std::vector<uint64_t>& payloads) {
@@ -533,23 +238,86 @@ void DenseDimMap::Build(const std::vector<int32_t>& keys,
   }
 }
 
-Status ExecuteMorselKernel(ssb::QueryId query, const KernelContext& ctx,
-                           uint64_t begin, uint64_t end,
-                           KernelScratch* scratch, AggTable* groups,
-                           int64_t* scalar_sum, bool* scalar,
-                           KernelCounters* counters) {
+Status ExecuteMorselKernel(const ssb::StarQuery& query,
+                           const KernelContext& ctx, uint64_t begin,
+                           uint64_t end, KernelScratch* s, AggTable* groups,
+                           int64_t* scalar_sum, KernelCounters* counters) {
   if (begin >= end) return Status::OK();
-  switch (ssb::FlightOf(query)) {
-    case 1:
-      *scalar = true;
-      return Flight1(query, ctx, begin, end, scratch, scalar_sum, counters);
-    case 2:
-      return Flight2(query, ctx, begin, end, scratch, groups, counters);
-    case 3:
-      return Flight3(query, ctx, begin, end, scratch, groups, counters);
-    default:
-      return Flight4(query, ctx, begin, end, scratch, groups, counters);
+  // Until the first predicate or stage runs, the selection is every tuple
+  // of the morsel and is not materialized.
+  bool whole = true;
+  for (const ssb::FactPredicate& p : query.fact_predicates) {
+    if (whole) {
+      ScanRange(ctx, p, begin, end, s);
+      whole = false;
+      continue;
+    }
+    AtSelected(ctx, p.column, s->sel, &s->values, [&](auto at) {
+      uint64_t* sel = s->sel.data();
+      const size_t n = s->sel.size();
+      const int32_t lo = p.lo;
+      const int32_t hi = p.hi;
+      size_t out = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const int32_t v = at(i);
+        sel[out] = sel[i];
+        out += v >= lo && v <= hi;
+      }
+      s->sel.resize(out);
+    });
   }
+  // carrier[g]: the carried payload vector group-by slot g reads.
+  std::array<size_t, 3> carrier{};
+  size_t carried = 0;
+  for (const ssb::DimensionStage& stage : query.stages) {
+    const LineorderColumn key = ssb::FactKeyColumn(stage.dim);
+    Status status;
+    if (whole) {
+      const int32_t* keys = ReadMorsel(ctx, key, begin, end, &s->values);
+      SelectAll(begin, end, s);
+      whole = false;
+      status = RunStage(
+          stage, ctx, [keys](size_t i) { return keys[i]; }, s, carried,
+          counters);
+    } else {
+      AtSelected(ctx, key, s->sel, &s->values, [&](auto at) {
+        status = RunStage(stage, ctx, at, s, carried, counters);
+      });
+    }
+    PMEMOLAP_RETURN_NOT_OK(status);
+    // Carry the stage's payloads when a group-by reads its dimension.
+    bool needed = false;
+    for (size_t g = 0; g < query.group_by.size(); ++g) {
+      if (query.group_by[g].dim != stage.dim) continue;
+      carrier[g] = carried;
+      needed = true;
+    }
+    if (needed) s->carried[carried++].swap(s->payloads);
+  }
+  if (whole) SelectAll(begin, end, s);
+  counters->qualifying += s->sel.size();
+
+  switch (query.aggregate.op) {
+    case ssb::Aggregate::Op::kSum:
+      AccumulateAt(
+          query, ctx, s, carrier,
+          [](int32_t a, int32_t) { return static_cast<int64_t>(a); }, groups,
+          scalar_sum);
+      break;
+    case ssb::Aggregate::Op::kProduct:
+      AccumulateAt(
+          query, ctx, s, carrier,
+          [](int32_t a, int32_t b) { return static_cast<int64_t>(a) * b; },
+          groups, scalar_sum);
+      break;
+    case ssb::Aggregate::Op::kDifference:
+      AccumulateAt(
+          query, ctx, s, carrier,
+          [](int32_t a, int32_t b) { return static_cast<int64_t>(a) - b; },
+          groups, scalar_sum);
+      break;
+  }
+  return Status::OK();
 }
 
 }  // namespace pmemolap

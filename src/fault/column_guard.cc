@@ -5,18 +5,6 @@
 
 namespace pmemolap {
 
-namespace {
-
-Result<std::unique_ptr<GuardedTable>> GuardColumn(
-    PmemSpace* space, FaultInjector* injector,
-    const std::vector<int32_t>& column, const GuardedTable::Options& options) {
-  return GuardedTable::Create(
-      space, injector, reinterpret_cast<const std::byte*>(column.data()),
-      column.size() * sizeof(int32_t), options);
-}
-
-}  // namespace
-
 Result<std::unique_ptr<GuardedColumnStore>> GuardedColumnStore::Create(
     PmemSpace* space, FaultInjector* injector, const ssb::ColumnStore* store,
     const GuardedTable::Options& options) {
@@ -25,33 +13,16 @@ Result<std::unique_ptr<GuardedColumnStore>> GuardedColumnStore::Create(
   }
   std::unique_ptr<GuardedColumnStore> guarded(new GuardedColumnStore());
   guarded->rows_ = store->size();
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->orderdate_,
-      GuardColumn(space, injector, store->orderdate(), options));
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->custkey_,
-      GuardColumn(space, injector, store->custkey(), options));
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->partkey_,
-      GuardColumn(space, injector, store->partkey(), options));
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->suppkey_,
-      GuardColumn(space, injector, store->suppkey(), options));
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->quantity_,
-      GuardColumn(space, injector, store->quantity(), options));
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->discount_,
-      GuardColumn(space, injector, store->discount(), options));
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->extendedprice_,
-      GuardColumn(space, injector, store->extendedprice(), options));
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->revenue_,
-      GuardColumn(space, injector, store->revenue(), options));
-  PMEMOLAP_ASSIGN_OR_RETURN(
-      guarded->supplycost_,
-      GuardColumn(space, injector, store->supplycost(), options));
+  for (int c = 0; c < ssb::kNumLineorderColumns; ++c) {
+    const std::vector<int32_t>& column =
+        store->column(static_cast<ssb::LineorderColumn>(c));
+    PMEMOLAP_ASSIGN_OR_RETURN(
+        guarded->columns_[static_cast<size_t>(c)],
+        GuardedTable::Create(
+            space, injector,
+            reinterpret_cast<const std::byte*>(column.data()),
+            column.size() * sizeof(int32_t), options));
+  }
   return guarded;
 }
 
@@ -68,11 +39,11 @@ Result<int64_t> GuardedColumnStore::ScanDiscountedRevenue(
     const size_t n = std::min(kBatchRows, rows_ - row);
     const uint64_t offset = row * sizeof(int32_t);
     const uint64_t bytes = n * sizeof(int32_t);
-    PMEMOLAP_RETURN_NOT_OK(quantity_->Read(
+    PMEMOLAP_RETURN_NOT_OK(column(ssb::LineorderColumn::kQuantity).Read(
         offset, bytes, reinterpret_cast<std::byte*>(quantity.data())));
-    PMEMOLAP_RETURN_NOT_OK(discount_->Read(
+    PMEMOLAP_RETURN_NOT_OK(column(ssb::LineorderColumn::kDiscount).Read(
         offset, bytes, reinterpret_cast<std::byte*>(discount.data())));
-    PMEMOLAP_RETURN_NOT_OK(extendedprice_->Read(
+    PMEMOLAP_RETURN_NOT_OK(column(ssb::LineorderColumn::kExtendedprice).Read(
         offset, bytes, reinterpret_cast<std::byte*>(extendedprice.data())));
     for (size_t i = 0; i < n; ++i) {
       if (discount[i] >= discount_lo && discount[i] <= discount_hi &&
@@ -87,12 +58,7 @@ Result<int64_t> GuardedColumnStore::ScanDiscountedRevenue(
 
 Result<uint64_t> GuardedColumnStore::ScrubAll() {
   uint64_t repaired = 0;
-  GuardedTable* columns[] = {orderdate_.get(), custkey_.get(),
-                             partkey_.get(),   suppkey_.get(),
-                             quantity_.get(),  discount_.get(),
-                             extendedprice_.get(), revenue_.get(),
-                             supplycost_.get()};
-  for (GuardedTable* column : columns) {
+  for (const std::unique_ptr<GuardedTable>& column : columns_) {
     PMEMOLAP_ASSIGN_OR_RETURN(uint64_t fixed, column->ScrubAll());
     repaired += fixed;
   }

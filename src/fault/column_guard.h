@@ -7,6 +7,7 @@
 // reserved for media that cannot serve the bytes at all.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -42,24 +43,16 @@ class GuardedColumnStore {
   /// Scrubs every chunk of every column; returns chunks repaired.
   Result<uint64_t> ScrubAll();
 
-  GuardedTable& quantity() { return *quantity_; }
-  GuardedTable& discount() { return *discount_; }
-  GuardedTable& extendedprice() { return *extendedprice_; }
+  GuardedTable& column(ssb::LineorderColumn column) {
+    return *columns_[static_cast<size_t>(column)];
+  }
 
  private:
   GuardedColumnStore() = default;
 
   size_t rows_ = 0;
-  // Nine columns, same order as the ColumnStore accessors.
-  std::unique_ptr<GuardedTable> orderdate_;
-  std::unique_ptr<GuardedTable> custkey_;
-  std::unique_ptr<GuardedTable> partkey_;
-  std::unique_ptr<GuardedTable> suppkey_;
-  std::unique_ptr<GuardedTable> quantity_;
-  std::unique_ptr<GuardedTable> discount_;
-  std::unique_ptr<GuardedTable> extendedprice_;
-  std::unique_ptr<GuardedTable> revenue_;
-  std::unique_ptr<GuardedTable> supplycost_;
+  std::array<std::unique_ptr<GuardedTable>, ssb::kNumLineorderColumns>
+      columns_;
 };
 
 }  // namespace pmemolap

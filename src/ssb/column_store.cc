@@ -2,26 +2,34 @@
 
 namespace pmemolap::ssb {
 
+const char* LineorderColumnName(LineorderColumn column) {
+  static constexpr const char* kNames[kNumLineorderColumns] = {
+      "orderdate", "custkey",       "partkey", "suppkey",   "quantity",
+      "discount",  "extendedprice", "revenue", "supplycost"};
+  return kNames[static_cast<size_t>(column)];
+}
+
+int32_t LineorderRow::*LineorderField(LineorderColumn column) {
+  static constexpr int32_t LineorderRow::*kFields[kNumLineorderColumns] = {
+      &LineorderRow::orderdate, &LineorderRow::custkey,
+      &LineorderRow::partkey,   &LineorderRow::suppkey,
+      &LineorderRow::quantity,  &LineorderRow::discount,
+      &LineorderRow::extendedprice, &LineorderRow::revenue,
+      &LineorderRow::supplycost};
+  return kFields[static_cast<size_t>(column)];
+}
+
 ColumnStore::ColumnStore(const std::vector<LineorderRow>& rows) {
-  orderdate_.reserve(rows.size());
-  custkey_.reserve(rows.size());
-  partkey_.reserve(rows.size());
-  suppkey_.reserve(rows.size());
-  quantity_.reserve(rows.size());
-  discount_.reserve(rows.size());
-  extendedprice_.reserve(rows.size());
-  revenue_.reserve(rows.size());
-  supplycost_.reserve(rows.size());
-  for (const LineorderRow& row : rows) {
-    orderdate_.push_back(row.orderdate);
-    custkey_.push_back(row.custkey);
-    partkey_.push_back(row.partkey);
-    suppkey_.push_back(row.suppkey);
-    quantity_.push_back(row.quantity);
-    discount_.push_back(row.discount);
-    extendedprice_.push_back(row.extendedprice);
-    revenue_.push_back(row.revenue);
-    supplycost_.push_back(row.supplycost);
+  std::array<int32_t LineorderRow::*, kNumLineorderColumns> fields;
+  std::array<int32_t*, kNumLineorderColumns> out;
+  for (size_t c = 0; c < fields.size(); ++c) {
+    fields[c] = LineorderField(static_cast<LineorderColumn>(c));
+    columns_[c].resize(rows.size());
+    out[c] = columns_[c].data();
+  }
+  // One pass over the 128 B rows, not one per column.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t c = 0; c < fields.size(); ++c) out[c][i] = rows[i].*fields[c];
   }
 }
 
@@ -36,9 +44,9 @@ int64_t ColumnStore::ScanDiscountedRevenue(int32_t discount_lo,
                                            int32_t quantity_below) const {
   int64_t sum = 0;
   const size_t n = size();
-  const int32_t* discount = discount_.data();
-  const int32_t* quantity = quantity_.data();
-  const int32_t* price = extendedprice_.data();
+  const int32_t* discount = column(LineorderColumn::kDiscount).data();
+  const int32_t* quantity = column(LineorderColumn::kQuantity).data();
+  const int32_t* price = column(LineorderColumn::kExtendedprice).data();
   for (size_t i = 0; i < n; ++i) {
     if (discount[i] >= discount_lo && discount[i] <= discount_hi &&
         quantity[i] < quantity_below) {

@@ -53,8 +53,15 @@ METRICS = {
         ("ssb_tax.geomean_durable_ingest", "lower", MODELED),
         ("ssb_tax.geomean_off", "lower", MODELED),
     ],
-    # overload has no scalar geomean; its claims_failed check still runs.
-    "overload": [],
+    # overload has no scalar geomean; its breaker counters are modeled
+    # (single worker, deterministic) and gated like any modeled metric.
+    "overload": [
+        ("breakers.retries_off", "lower", MODELED),
+        ("breakers.retries_on", "lower", MODELED),
+        ("breakers.backoff_us_off", "lower", MODELED),
+        ("breakers.backoff_us_on", "lower", MODELED),
+        ("breakers.bypasses", "higher", MODELED),
+    ],
     # service asserts its SLOs absolutely (and determinism by digest);
     # the gate only re-checks that no claim failed.
     "service": [],
