@@ -13,6 +13,11 @@
 // 13 queries of best-of-reps times; the per-query best, median and
 // min-max over reps go to BENCH_wallclock_ssb.json.
 //
+// At the smoke size a socket's fact range is less than one morsel, so
+// the morsel executor has almost nothing to steal: the smoke speedup
+// (and its gated baseline) bounds the executor's gain from below only.
+// Run at sf >= 1 to measure it.
+//
 // Flags: --smoke (sf 0.02, 1 rep — the CI configuration), --sf=<double>,
 //        --threads=<int>, --morsel=<tuples>, --reps=<int>.
 #include <algorithm>

@@ -4,6 +4,31 @@
 
 namespace pmemolap {
 
+namespace {
+
+/// Smallest span holding both `a` and `b`.
+LineRun Hull(LineRun a, LineRun b) {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  return {std::min(a.begin, b.begin), std::max(a.end, b.end)};
+}
+
+/// `span` after the lines of `cut` left the state it bounds. Only an end
+/// of the span can be cut off: a hole in the middle keeps the span whole.
+LineRun Trim(LineRun span, LineRun cut) {
+  if (cut.empty() || span.empty()) return span;
+  if (cut.begin <= span.begin && span.end <= cut.end) return {};
+  if (cut.begin <= span.begin && span.begin < cut.end) {
+    return {cut.end, span.end};
+  }
+  if (cut.begin < span.end && span.end <= cut.end) {
+    return {span.begin, cut.begin};
+  }
+  return span;
+}
+
+}  // namespace
+
 PersistenceTracker::PersistenceTracker(uint64_t bytes)
     : bytes_(bytes),
       state_((bytes + kCacheLineBytes - 1) / kCacheLineBytes,
@@ -16,54 +41,73 @@ uint64_t PersistenceTracker::LineEnd(uint64_t offset, uint64_t size) const {
 }
 
 void PersistenceTracker::MarkDirty(uint64_t offset, uint64_t size) {
-  for (uint64_t l = LineBegin(offset), e = LineEnd(offset, size); l < e; ++l) {
-    state_[l] = PersistLineState::kDirtyCache;
-  }
+  LineRun lines{LineBegin(offset), LineEnd(offset, size)};
+  if (lines.empty()) return;
+  std::fill(state_.begin() + lines.begin, state_.begin() + lines.end,
+            PersistLineState::kDirtyCache);
+  dirty_ = Hull(dirty_, lines);
+  accepted_ = Trim(accepted_, lines);
 }
 
 uint64_t PersistenceTracker::AcceptDirtyRange(uint64_t offset, uint64_t size) {
+  LineRun lines{LineBegin(offset), LineEnd(offset, size)};
+  // Only lines inside the dirty span can be dirty.
+  uint64_t begin = std::max(lines.begin, dirty_.begin);
+  uint64_t end = std::min(lines.end, dirty_.end);
   uint64_t moved = 0;
-  for (uint64_t l = LineBegin(offset), e = LineEnd(offset, size); l < e; ++l) {
+  LineRun accepted;
+  for (uint64_t l = begin; l < end; ++l) {
     if (state_[l] == PersistLineState::kDirtyCache) {
       state_[l] = PersistLineState::kAcceptedWpq;
-      ++moved;
+      if (moved++ == 0) accepted.begin = l;
+      accepted.end = l + 1;
     }
   }
+  accepted_ = Hull(accepted_, accepted);
+  dirty_ = Trim(dirty_, lines);
   return moved;
 }
 
 void PersistenceTracker::MarkAccepted(uint64_t offset, uint64_t size) {
-  for (uint64_t l = LineBegin(offset), e = LineEnd(offset, size); l < e; ++l) {
-    state_[l] = PersistLineState::kAcceptedWpq;
-  }
+  LineRun lines{LineBegin(offset), LineEnd(offset, size)};
+  if (lines.empty()) return;
+  std::fill(state_.begin() + lines.begin, state_.begin() + lines.end,
+            PersistLineState::kAcceptedWpq);
+  accepted_ = Hull(accepted_, lines);
+  dirty_ = Trim(dirty_, lines);
 }
 
-uint64_t PersistenceTracker::DrainAccepted(std::vector<uint64_t>* drained) {
+uint64_t PersistenceTracker::DrainAccepted(std::vector<LineRun>* drained) {
   uint64_t count = 0;
-  for (uint64_t l = 0; l < state_.size(); ++l) {
-    if (state_[l] == PersistLineState::kAcceptedWpq) {
-      state_[l] = PersistLineState::kClean;
-      if (drained != nullptr) drained->push_back(l);
-      ++count;
+  for (uint64_t l = accepted_.begin; l < accepted_.end; ++l) {
+    if (state_[l] != PersistLineState::kAcceptedWpq) continue;
+    state_[l] = PersistLineState::kClean;
+    ++count;
+    if (drained == nullptr) continue;
+    if (!drained->empty() && drained->back().end == l) {
+      ++drained->back().end;
+    } else {
+      drained->push_back({l, l + 1});
     }
   }
+  accepted_ = {};
   return count;
+}
+
+LineRun PersistenceTracker::in_flight() const {
+  return Hull(dirty_, accepted_);
 }
 
 uint64_t PersistenceTracker::dirty_lines() const {
-  uint64_t count = 0;
-  for (PersistLineState s : state_) {
-    if (s == PersistLineState::kDirtyCache) ++count;
-  }
-  return count;
+  return static_cast<uint64_t>(
+      std::count(state_.begin() + dirty_.begin, state_.begin() + dirty_.end,
+                 PersistLineState::kDirtyCache));
 }
 
 uint64_t PersistenceTracker::accepted_lines() const {
-  uint64_t count = 0;
-  for (PersistLineState s : state_) {
-    if (s == PersistLineState::kAcceptedWpq) ++count;
-  }
-  return count;
+  return static_cast<uint64_t>(std::count(state_.begin() + accepted_.begin,
+                                          state_.begin() + accepted_.end,
+                                          PersistLineState::kAcceptedWpq));
 }
 
 std::vector<uint64_t> PersistenceTracker::LinesInState(
@@ -91,7 +135,11 @@ uint64_t PersistenceTracker::XPLinesInState(PersistLineState state) const {
 }
 
 void PersistenceTracker::Reset() {
-  std::fill(state_.begin(), state_.end(), PersistLineState::kClean);
+  LineRun span = in_flight();
+  std::fill(state_.begin() + span.begin, state_.begin() + span.end,
+            PersistLineState::kClean);
+  dirty_ = {};
+  accepted_ = {};
 }
 
 }  // namespace pmemolap

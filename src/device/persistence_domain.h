@@ -15,6 +15,12 @@
 // pairs it with the volatile/persisted images and applies crash semantics.
 // Per-256B-XPLine aggregation serves scrub reports and crash statistics,
 // since Optane tears at XPLine granularity internally.
+//
+// Cost: next to the per-line state the tracker keeps two line spans, one
+// holding every dirty line and one every accepted line. A primitive costs
+// O(lines it covers), a flush touches only the part of its range inside
+// the dirty span, and a drain (sfence) or crash walks only the spans — so
+// a fence costs O(accepted span), not O(region lines).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +34,14 @@ enum class PersistLineState : uint8_t {
   kClean = 0,
   kDirtyCache = 1,
   kAcceptedWpq = 2,
+};
+
+/// A half-open span [begin, end) of 64 B line indexes.
+struct LineRun {
+  uint64_t begin = 0;
+  uint64_t end = 0;
+  bool empty() const { return begin >= end; }
+  bool operator==(const LineRun&) const = default;
 };
 
 class PersistenceTracker {
@@ -55,10 +69,15 @@ class PersistenceTracker {
   /// dirty stage.
   void MarkAccepted(uint64_t offset, uint64_t size);
 
-  /// sfence: drains the WPQ. All accepted lines become clean; their
-  /// indexes are appended to `drained` (if non-null) so the caller can
-  /// promote those lines into the persisted image. Returns lines drained.
-  uint64_t DrainAccepted(std::vector<uint64_t>* drained);
+  /// sfence: drains the WPQ. All accepted lines become clean; they are
+  /// appended to `drained` (if non-null) as ascending runs of adjacent
+  /// lines, so the caller promotes each run into the persisted image
+  /// with one copy. Returns lines drained.
+  uint64_t DrainAccepted(std::vector<LineRun>* drained);
+
+  /// A span holding every line that is not clean (it may hold clean
+  /// lines too); empty when nothing is in flight.
+  LineRun in_flight() const;
 
   uint64_t dirty_lines() const;
   uint64_t accepted_lines() const;
@@ -79,6 +98,12 @@ class PersistenceTracker {
 
   uint64_t bytes_ = 0;
   std::vector<PersistLineState> state_;
+  /// Every dirty line lies in dirty_, every accepted line in accepted_.
+  /// The spans may be loose (hold lines of another state) but never miss
+  /// one; a span shrinks when the lines at one of its ends leave its
+  /// state, and the accepted span empties at every drain.
+  LineRun dirty_;
+  LineRun accepted_;
 };
 
 }  // namespace pmemolap

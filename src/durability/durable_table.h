@@ -55,8 +55,9 @@ class DurableTable {
     /// Runs the runtime durability oracle (persist_order_checker.h)
     /// over both regions: every fence cross-validated against the
     /// tracker, every commit record and publish checked for pending
-    /// lines. Cheap (O(in-flight lines) per boundary), so it defaults
-    /// on; flip off to measure the protocol without the oracle.
+    /// lines. Cheap (O(lines written) per primitive, O(in-flight span)
+    /// per boundary), so it defaults on; flip off to measure the
+    /// protocol without the oracle.
     bool check_order = true;
     PersistSpec persist;  ///< primitive pricing
   };

@@ -26,7 +26,20 @@ void PersistOrderChecker::AttachRegion(const PersistentRegion* region,
   Mirror& mirror = mirrors_[region];
   mirror.name = std::move(name);
   mirror.states.assign(LineEnd(0, region->size()), LineState::kClean);
-  mirror.touched.clear();
+  mirror.lo = 0;
+  mirror.hi = 0;
+  mirror.in_flight = 0;
+}
+
+void PersistOrderChecker::Mirror::Cover(uint64_t begin, uint64_t end) {
+  if (begin >= end) return;
+  if (lo >= hi) {
+    lo = begin;
+    hi = end;
+  } else {
+    lo = std::min(lo, begin);
+    hi = std::max(hi, end);
+  }
 }
 
 PersistOrderChecker::Mirror* PersistOrderChecker::Find(
@@ -64,17 +77,19 @@ void PersistOrderChecker::OnStore(const PersistentRegion* region,
   std::lock_guard<std::mutex> lock(mutex_);
   Mirror* mirror = Find(region);
   if (mirror == nullptr) return;
-  for (uint64_t line = LineBegin(offset); line < LineEnd(offset, size);
-       ++line) {
-    if (mirror->states[line] == LineState::kAcceptedNt) {
+  uint64_t end = LineEnd(offset, size);
+  mirror->Cover(LineBegin(offset), end);
+  for (uint64_t line = LineBegin(offset); line < end; ++line) {
+    LineState& state = mirror->states[line];
+    if (state == LineState::kAcceptedNt) {
       Record("persist-mixed-store", *mirror, line,
              "cached Store over line " + std::to_string(line) +
                  " whose NtStore is still un-fenced");
     }
+    if (state == LineState::kClean) ++mirror->in_flight;
     // A cached store re-dirties the line: an earlier write-back no
     // longer covers it (mirrors PersistenceTracker::MarkDirty).
-    mirror->states[line] = LineState::kDirtyCached;
-    mirror->touched.insert(line);
+    state = LineState::kDirtyCached;
   }
 }
 
@@ -83,15 +98,17 @@ void PersistOrderChecker::OnNtStore(const PersistentRegion* region,
   std::lock_guard<std::mutex> lock(mutex_);
   Mirror* mirror = Find(region);
   if (mirror == nullptr) return;
-  for (uint64_t line = LineBegin(offset); line < LineEnd(offset, size);
-       ++line) {
-    if (mirror->states[line] == LineState::kDirtyCached) {
+  uint64_t end = LineEnd(offset, size);
+  mirror->Cover(LineBegin(offset), end);
+  for (uint64_t line = LineBegin(offset); line < end; ++line) {
+    LineState& state = mirror->states[line];
+    if (state == LineState::kDirtyCached) {
       Record("persist-mixed-store", *mirror, line,
              "NtStore over line " + std::to_string(line) +
                  " still dirty from a cached Store");
     }
-    mirror->states[line] = LineState::kAcceptedNt;
-    mirror->touched.insert(line);
+    if (state == LineState::kClean) ++mirror->in_flight;
+    state = LineState::kAcceptedNt;
   }
 }
 
@@ -100,8 +117,10 @@ void PersistOrderChecker::OnFlush(const PersistentRegion* region,
   std::lock_guard<std::mutex> lock(mutex_);
   Mirror* mirror = Find(region);
   if (mirror == nullptr) return;
-  for (uint64_t line = LineBegin(offset); line < LineEnd(offset, size);
-       ++line) {
+  // Lines outside the span are clean, and a flush leaves clean lines be.
+  uint64_t begin = std::max(LineBegin(offset), mirror->lo);
+  uint64_t end = std::min(LineEnd(offset, size), mirror->hi);
+  for (uint64_t line = begin; line < end; ++line) {
     switch (mirror->states[line]) {
       case LineState::kDirtyCached:
         mirror->states[line] = LineState::kAcceptedCached;
@@ -125,17 +144,24 @@ void PersistOrderChecker::OnFence(const PersistentRegion* region,
   if (mirror == nullptr) return;
   ++fences_checked_;
   uint64_t mirror_drained = 0;
+  uint64_t seen = 0;
+  // The dirty lines left after the drain become the new span.
+  uint64_t dirty_lo = 0;
+  uint64_t dirty_hi = 0;
   const PersistenceTracker& tracker = region->tracker();
-  for (auto it = mirror->touched.begin(); it != mirror->touched.end();) {
-    uint64_t line = *it;
+  for (uint64_t line = mirror->lo;
+       line < mirror->hi && seen < mirror->in_flight; ++line) {
     LineState state = mirror->states[line];
+    if (state == LineState::kClean) continue;
+    ++seen;
     if (state == LineState::kAcceptedNt ||
         state == LineState::kAcceptedCached) {
       ++mirror_drained;
       mirror->states[line] = LineState::kClean;
-      it = mirror->touched.erase(it);
       continue;
     }
+    if (dirty_lo == dirty_hi) dirty_lo = line;
+    dirty_hi = line + 1;
     // Dirty lines ride out the fence — the tracker must agree, or the
     // two models have diverged.
     if (tracker.state(line) != PersistLineState::kDirtyCache) {
@@ -147,8 +173,10 @@ void PersistOrderChecker::OnFence(const PersistentRegion* region,
                  " — a write path bypassed the primitives or the "
                  "lattice changed");
     }
-    ++it;
   }
+  mirror->in_flight -= mirror_drained;
+  mirror->lo = dirty_lo;
+  mirror->hi = dirty_hi;
   if (mirror_drained != drained_lines) {
     Record("oracle-drift", *mirror, 0,
            "Fence() drained " + std::to_string(drained_lines) +
@@ -177,10 +205,11 @@ void PersistOrderChecker::OnCrash(const PersistentRegion* region) {
   if (mirror == nullptr) return;
   // volatile := persisted and tracker.Reset(): all in-flight state is
   // resolved (lost or survived); the mirror starts clean like a restart.
-  for (uint64_t line : mirror->touched) {
-    mirror->states[line] = LineState::kClean;
-  }
-  mirror->touched.clear();
+  std::fill(mirror->states.begin() + mirror->lo,
+            mirror->states.begin() + mirror->hi, LineState::kClean);
+  mirror->lo = 0;
+  mirror->hi = 0;
+  mirror->in_flight = 0;
 }
 
 void PersistOrderChecker::OnCommitRecord(const PersistentRegion* region,
@@ -189,7 +218,9 @@ void PersistOrderChecker::OnCommitRecord(const PersistentRegion* region,
   Mirror* mirror = Find(region);
   if (mirror == nullptr) return;
   ++commit_records_checked_;
-  for (uint64_t line : mirror->touched) {
+  if (mirror->in_flight == 0) return;
+  for (uint64_t line = mirror->lo; line < mirror->hi; ++line) {
+    if (mirror->states[line] == LineState::kClean) continue;
     Record("persist-order", *mirror, line,
            "commit record of epoch " + std::to_string(epoch) +
                " written while line " + std::to_string(line) + " is " +
@@ -206,13 +237,16 @@ void PersistOrderChecker::OnPublish(const PersistentRegion* region,
   Mirror* mirror = Find(region);
   if (mirror == nullptr) return;
   ++publishes_checked_;
-  uint64_t first = LineBegin(begin);
-  uint64_t past = LineEnd(begin, end - begin);
-  auto it = mirror->touched.lower_bound(first);
-  for (; it != mirror->touched.end() && *it < past; ++it) {
-    Record("persist-order", *mirror, *it,
-           what + " publishes while line " + std::to_string(*it) +
-               " is " + StateName(mirror->states[*it]) +
+  uint64_t first = std::max(LineBegin(begin), mirror->lo);
+  uint64_t past = std::min(LineEnd(begin, end - begin), mirror->hi);
+  uint64_t seen = 0;
+  for (uint64_t line = first; line < past && seen < mirror->in_flight;
+       ++line) {
+    if (mirror->states[line] == LineState::kClean) continue;
+    ++seen;
+    Record("persist-order", *mirror, line,
+           what + " publishes while line " + std::to_string(line) +
+               " is " + StateName(mirror->states[line]) +
                " — a crash now exposes bytes the publish promised were "
                "durable");
   }

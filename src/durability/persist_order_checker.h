@@ -27,6 +27,10 @@
 // are counted, not flagged: re-flushing a clean line is wasted clwb
 // cost, never a safety bug.
 //
+// Cost: a primitive hook is O(lines it covers); a fence, commit record,
+// publish or crash walks only the mirror's span of in-flight lines (see
+// Mirror), so the oracle can stay on for bulk ingest and recovery.
+//
 // Violations are recorded, never thrown: crash sweeps assert
 // `violations().empty()` after thousands of boundaries, and the engine
 // surfaces a non-clean checker as Status::Internal after the fact.
@@ -38,7 +42,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -107,9 +110,18 @@ class PersistOrderChecker {
   struct Mirror {
     std::string name;
     std::vector<LineState> states;
-    /// Non-clean line indexes — keeps every check O(in-flight lines),
-    /// not O(region lines), so exhaustive crash sweeps stay cheap.
-    std::set<uint64_t> touched;
+    /// Every non-clean line lies in [lo, hi) (the span may hold clean
+    /// lines too) and `in_flight` counts them. A check walks only the
+    /// span and stops once it has seen every in-flight line, so it costs
+    /// O(in-flight span), not O(region lines), and allocates nothing per
+    /// line. The mirror keeps its own span and never reads the
+    /// tracker's: the oracle stays independent of what it checks.
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    uint64_t in_flight = 0;
+
+    /// Widens the span to hold lines [begin, end).
+    void Cover(uint64_t begin, uint64_t end);
   };
 
   Mirror* Find(const PersistentRegion* region);

@@ -84,6 +84,7 @@ Status PersistentRegion::CrashDuringWrite(uint64_t offset, const void* src,
     if (keep > 0) {
       std::memcpy(allocation_.data() + offset, src, keep);
       tracker_.MarkAccepted(offset, keep);
+      written_end_ = std::max(written_end_, offset + keep);
     }
   }
   return CrashNow();
@@ -98,6 +99,7 @@ Status PersistentRegion::Store(uint64_t offset, const void* src,
   }
   std::memcpy(allocation_.data() + offset, src, size);
   tracker_.MarkDirty(offset, size);
+  written_end_ = std::max(written_end_, offset + size);
   if (order_ != nullptr) order_->OnStore(this, offset, size);
   uint64_t lines = PersistCostModel::LinesCovering(offset, size);
   store_lines_ += lines;
@@ -114,6 +116,7 @@ Status PersistentRegion::NtStore(uint64_t offset, const void* src,
   }
   std::memcpy(allocation_.data() + offset, src, size);
   tracker_.MarkAccepted(offset, size);
+  written_end_ = std::max(written_end_, offset + size);
   if (order_ != nullptr) order_->OnNtStore(this, offset, size);
   uint64_t lines = PersistCostModel::LinesCovering(offset, size);
   store_lines_ += lines;
@@ -146,9 +149,13 @@ Status PersistentRegion::TruncateTo(uint64_t offset) {
   if (crash_ != nullptr && crash_->HitsNextBoundary()) {
     return CrashNow();  // tail pointer never flipped; suffix still there
   }
-  uint64_t tail = allocation_.size() - offset;
-  std::memset(allocation_.data() + offset, 0, tail);
-  std::memset(persisted_.data() + offset, 0, tail);
+  // Past the written high-water mark both images are already zero.
+  if (offset < written_end_) {
+    uint64_t tail = written_end_ - offset;
+    std::memset(allocation_.data() + offset, 0, tail);
+    std::memset(persisted_.data() + offset, 0, tail);
+    written_end_ = offset;
+  }
   // Priced as the tail-pointer update, not the (modeled-only) zeroing.
   modeled_seconds_ += cost_->StoreSeconds(1) + cost_->FlushSeconds(1) +
                       cost_->FenceSeconds(1);
@@ -163,12 +170,13 @@ Status PersistentRegion::Fence() {
     // Drain never completed; accepted lines face the survival lottery.
     return CrashNow();
   }
-  std::vector<uint64_t> drained;
-  uint64_t pending = tracker_.DrainAccepted(&drained);
-  for (uint64_t line : drained) {
-    uint64_t begin = line * kCacheLineBytes;
-    uint64_t bytes = std::min(kCacheLineBytes, allocation_.size() - begin);
-    std::memcpy(persisted_.data() + begin, allocation_.data() + begin, bytes);
+  drained_.clear();
+  uint64_t pending = tracker_.DrainAccepted(&drained_);
+  for (LineRun run : drained_) {
+    uint64_t begin = run.begin * kCacheLineBytes;
+    uint64_t end = std::min(run.end * kCacheLineBytes, allocation_.size());
+    std::memcpy(persisted_.data() + begin, allocation_.data() + begin,
+                end - begin);
   }
   ++fences_;
   modeled_seconds_ += cost_->FenceSeconds(pending);
@@ -186,7 +194,10 @@ void PersistentRegion::ApplyCrash(Rng* survival, double survival_p,
   // lines — those are the torn XPLines readers must never see raw.
   std::vector<uint64_t> xp_survived;
   std::vector<uint64_t> xp_lost;
-  for (uint64_t line = 0; line < tracker_.lines(); ++line) {
+  // Lines outside the in-flight span are clean, so both images already
+  // agree there.
+  LineRun span = tracker_.in_flight();
+  for (uint64_t line = span.begin; line < span.end; ++line) {
     PersistLineState state = tracker_.state(line);
     if (state == PersistLineState::kClean) continue;
     bool survives = state == PersistLineState::kAcceptedWpq &&
@@ -207,7 +218,12 @@ void PersistentRegion::ApplyCrash(Rng* survival, double survival_p,
     }
   }
   // Restart: the volatile image IS the persisted image.
-  std::memcpy(allocation_.data(), persisted_.data(), allocation_.size());
+  uint64_t begin = span.begin * kCacheLineBytes;
+  uint64_t end = std::min(span.end * kCacheLineBytes, allocation_.size());
+  if (begin < end) {
+    std::memcpy(allocation_.data() + begin, persisted_.data() + begin,
+                end - begin);
+  }
   tracker_.Reset();
   if (order_ != nullptr) order_->OnCrash(this);
   if (report != nullptr) {

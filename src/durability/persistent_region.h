@@ -61,8 +61,9 @@ class PersistentRegion {
   /// Durable truncation: everything at and past `offset` reverts to zero
   /// in both images. Models a redo log's O(1) tail-pointer update (one
   /// line store + flush + fence), not a media wipe — but the model zeroes
-  /// the suffix so stale records can never be re-scanned. One crash
-  /// boundary; if the crash fires here, the truncation never happened.
+  /// the suffix (up to the highest byte ever written) so stale records
+  /// can never be re-scanned. One crash boundary; if the crash fires
+  /// here, the truncation never happened.
   Status TruncateTo(uint64_t offset);
 
   /// Volatile image — what loads (and post-crash recovery) read.
@@ -113,6 +114,10 @@ class PersistentRegion {
   CrashInjector* crash_;
   const PersistCostModel* cost_;
   PersistOrderChecker* order_ = nullptr;
+  /// Every byte at and past this offset is zero in both images.
+  uint64_t written_end_ = 0;
+  /// Fence's drained line runs, kept to reuse the allocation.
+  std::vector<LineRun> drained_;
   double modeled_seconds_ = 0.0;
   uint64_t store_lines_ = 0;
   uint64_t flush_lines_ = 0;

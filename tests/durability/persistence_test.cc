@@ -69,9 +69,9 @@ TEST(PersistenceTrackerTest, StoreFlushFenceWalksTheThreeStages) {
   EXPECT_EQ(tracker.accepted_lines(), 2u);
   EXPECT_EQ(tracker.AcceptDirtyRange(0, 4 * kCacheLineBytes), 0u);
 
-  std::vector<uint64_t> drained;
+  std::vector<LineRun> drained;
   EXPECT_EQ(tracker.DrainAccepted(&drained), 2u);
-  EXPECT_EQ(drained, (std::vector<uint64_t>{0, 1}));
+  EXPECT_EQ(drained, (std::vector<LineRun>{{0, 2}}));
   EXPECT_EQ(tracker.accepted_lines(), 0u);
 }
 
